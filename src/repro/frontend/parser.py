@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.frontend.ast_nodes import (
     AssignStmt,
     BinaryExpr,
@@ -61,6 +63,15 @@ _BINARY_PRECEDENCE: dict[TokenKind, tuple[int, str]] = {
 
 _TYPE_KEYWORDS = (TokenKind.KW_INT, TokenKind.KW_FLOAT, TokenKind.KW_VOID)
 
+#: deepest statement/expression nesting the parser accepts. Every
+#: recursive cycle of the grammar passes through one guarded entry point
+#: — a statement (a braced ``if`` body is two: the ``if`` and its block),
+#: a unary operand (one per parenthesis or prefix operator), or a ternary
+#: else arm — so a program nested deeper than this fails with a located
+#: ParseError instead of exhausting the Python stack here or in the
+#: recursive passes after parsing.
+MAX_NESTING = 100
+
 _ASSIGN_OPS: dict[TokenKind, str] = {
     TokenKind.ASSIGN: "=",
     TokenKind.PLUS_ASSIGN: "+=",
@@ -77,6 +88,7 @@ class Parser:
         self.source = source
         self.tokens = Lexer(source).tokens()
         self.pos = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token-stream helpers
@@ -112,6 +124,21 @@ class Parser:
             f"expected {kind.value!r}{where}, found {self.current}",
             self.current.span,
         )
+
+    @contextmanager
+    def _nested(self):
+        """One level of statement/expression nesting, bounded by
+        :data:`MAX_NESTING`."""
+        if self._depth >= MAX_NESTING:
+            raise ParseError(
+                f"nesting too deep (more than {MAX_NESTING} levels)",
+                self.current.span,
+            )
+        self._depth += 1
+        try:
+            yield
+        finally:
+            self._depth -= 1
 
     # ------------------------------------------------------------------
     # Top level
@@ -254,6 +281,10 @@ class Parser:
         return BlockStmt(span=open_token.span.merge(close_token.span), body=body)
 
     def _parse_stmt(self) -> Stmt:
+        with self._nested():
+            return self._parse_stmt_inner()
+
+    def _parse_stmt_inner(self) -> Stmt:
         kind = self.current.kind
         if kind is TokenKind.LBRACE:
             return self._parse_block()
@@ -401,7 +432,8 @@ class Parser:
         if self._accept(TokenKind.QUESTION):
             then = self._parse_expr()
             self._expect(TokenKind.COLON, "conditional expression")
-            otherwise = self._parse_ternary()
+            with self._nested():
+                otherwise = self._parse_ternary()
             return CondExpr(
                 span=cond.span.merge(otherwise.span),
                 cond=cond,
@@ -424,6 +456,10 @@ class Parser:
             )
 
     def _parse_unary(self) -> Expr:
+        with self._nested():
+            return self._parse_unary_inner()
+
+    def _parse_unary_inner(self) -> Expr:
         token = self.current
         if token.kind in (TokenKind.MINUS, TokenKind.PLUS, TokenKind.BANG):
             self._advance()

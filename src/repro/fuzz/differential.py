@@ -3,13 +3,12 @@
 One call to :func:`run_differential` compiles a program once and runs it
 through the full engine matrix:
 
-* ``tree`` vs each fast engine (``bytecode`` and the AOT ``compiled``
-  engine), unprofiled — same value, output, instruction count, and total
-  cost;
-* ``tree`` vs each fast engine under the KremLib profiler, at every
+* ``tree`` vs the AOT ``compiled`` engine, unprofiled — same value,
+  output, instruction count, and total cost;
+* ``tree`` vs ``compiled`` under the KremLib profiler, at every
   configured depth window — same run results *and* byte-identical
-  serialized parallelism profiles (the fast engines' fused fast paths
-  must be exact, not approximately right);
+  serialized parallelism profiles (the compiled engine's fused profiling
+  code must be exact, not approximately right);
 * profiled vs unprofiled — the profiler must not perturb execution;
 
 then hands every profile to the invariant oracle
@@ -44,7 +43,7 @@ from repro.kremlib.profiler import KremlinProfiler
 DEFAULT_MAX_DEPTHS: tuple[int | None, ...] = (None, 2)
 
 #: performance engines checked against the tree reference
-FAST_ENGINES: tuple[str, ...] = ("bytecode", "compiled")
+FAST_ENGINES: tuple[str, ...] = ("compiled",)
 
 #: instruction budget per run — generated programs are tiny; anything
 #: hitting this is a runaway and gets skipped, not reported

@@ -1,10 +1,6 @@
 """Ahead-of-time compiler: MiniC IR to native Python functions.
 
-The bytecode engine (:mod:`repro.interp.bytecode`) removed per-instruction
-dispatch by predecoding each basic block into step closures, but kept the
-``while pc >= 0: pc = code[pc](regs)`` trampoline and a shared register
-*list* per activation. This module removes those too: each MiniC function
-compiles to ONE Python function whose
+Each MiniC function compiles to ONE Python function whose
 
 * registers are plain locals (``r3``, not ``regs[3]``),
 * straight-line segments are single generated blocks with no dispatch,
@@ -22,30 +18,28 @@ Two flavors share the structurer and the statement generators:
   consumers, exactly one read, same block), so observable behavior —
   including error ordering — is unchanged.
 * **fused** bakes the :class:`~repro.kremlib.profiler.KremlinProfiler`
-  hook bodies in at codegen time. With metrics collection enabled it
-  reuses the exact :class:`~repro.kremlib.segments.SegmentEmitter`
-  fragments the fused bytecode decoder emits, statement for statement, so
-  observability counters match the bytecode engine's. Otherwise it runs a
-  *symbolic timestamp algebra* over each straight-line segment
-  (:class:`_SymTS`): per-event timestamp vectors stay symbolic — a const
-  floor plus per-source offsets over the segment's resolved shadow
-  entries — and only materialize when stored past a flush point. Dead
-  shadow stores are elided by block liveness, consumed (dominated) events
-  are skipped in the region fold, and the entry-resolution cache
-  survives region boundaries it provably cannot invalidate. All of it is
-  value-exact: serialized profiles stay bit-identical across the tree,
-  bytecode, and compiled engines (the differential suite, fuzz matrix,
-  and codegen-smoke CI job enforce it). Quickening is disabled in this
-  flavor: every register write also writes its shadow.
+  hook bodies in at codegen time and runs a *symbolic timestamp algebra*
+  over each straight-line segment (:class:`_SymTS`): per-event timestamp
+  vectors stay symbolic — a const floor plus per-source offsets over the
+  segment's resolved shadow entries — and only materialize when stored
+  past a flush point. Dead shadow stores are elided by block liveness,
+  consumed (dominated) events are skipped in the region fold, and the
+  entry-resolution cache survives region boundaries it provably cannot
+  invalidate. All of it is value-exact: serialized profiles stay
+  bit-identical between the tree and compiled engines (the differential
+  suite, fuzz matrix, and codegen-smoke CI job enforce it). Quickening is
+  disabled in this flavor: every register write also writes its shadow.
+  With metrics collection enabled the emitted source is the same plus
+  counter-bump lines; the per-block ``fastpath.*`` counts are computed
+  from the IR at codegen time (:func:`_block_shadow_reads`).
 
 Structuring is best-effort with hard safety rails: reducible CFGs from the
 MiniC lowerer structure exactly (branch joins come from the postdominator
 tree, loops from the natural-loop forest); anything that does not — or
 that would exceed the bounded code-duplication budget, Python's nesting
 limits, or the loop-depth guard — falls back to a per-function dispatch
-loop (``while True: if _b == k: ...``), which is still faster than the
-closure trampoline. A whole-module retry with forced dispatch guards
-against ``compile()`` rejecting deeply nested output.
+loop (``while True: if _b == k: ...``). A whole-module retry with forced
+dispatch guards against ``compile()`` rejecting deeply nested output.
 
 Generated source is **instance-independent**: interpreter-specific objects
 (global array storages, scalar cells, the interpreter itself) are referred
@@ -66,11 +60,6 @@ import time
 from repro.analysis.dominators import postdominator_tree
 from repro.analysis.loops import find_natural_loops
 from repro.interp.builtins import BUILTINS
-from repro.interp.bytecode import (
-    _PURE_BINOP_EXPRS,
-    _block_totals,
-    _is_inline_literal,
-)
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import _MAX_CALL_DEPTH, _global_key
 from repro.ir.instructions import (
@@ -91,9 +80,30 @@ from repro.ir.instructions import (
 from repro.ir.types import FLOAT, INT, ArrayType
 from repro.ir.values import Constant, GlobalRef, Register, StringConst
 from repro.kremlib import shadow
-from repro.kremlib.segments import SegmentEmitter
 
 _PAD = "    "
+
+# Source templates for the side-effect-free binary ops; division and
+# modulo raise and carry C truncation semantics, so they get dedicated
+# multi-statement templates in the statement generators below.
+_PURE_BINOP_EXPRS = {
+    "+": "{a} + {b}",
+    "-": "{a} - {b}",
+    "*": "{a} * {b}",
+    "<": "1 if {a} < {b} else 0",
+    "<=": "1 if {a} <= {b} else 0",
+    ">": "1 if {a} > {b} else 0",
+    ">=": "1 if {a} >= {b} else 0",
+    "==": "1 if {a} == {b} else 0",
+    "!=": "1 if {a} != {b} else 0",
+    "&": "{a} & {b}",
+    "|": "{a} | {b}",
+    "^": "{a} ^ {b}",
+    "<<": "{a} << {b}",
+    ">>": "{a} >> {b}",
+    "&&": "1 if ({a} != 0 and {b} != 0) else 0",
+    "||": "1 if ({a} != 0 or {b} != 0) else 0",
+}
 
 # Ops whose results may be forward-substituted (quickened) into the next
 # consumer: pure and non-raising on type-checked operands. Division,
@@ -127,6 +137,23 @@ _MAX_LOOP_NESTING = 16
 # check arms without changing evaluation count: bare locals and
 # non-negative integer literals.
 _SIMPLE_INDEX_RE = re.compile(r"(?:r\d+|_gv\d+|\d+)\Z")
+
+
+def _is_inline_literal(value) -> bool:
+    """Can this constant be spliced into generated source as a literal?"""
+    if type(value) is int:
+        return True
+    if type(value) is float:
+        # repr() round-trips finite floats; inf/nan aren't literals.
+        return value == value and value not in (float("inf"), float("-inf"))
+    return False
+
+
+def _block_totals(block) -> tuple[int, int]:
+    """(instructions retired, total cost) of one full pass over ``block``."""
+    retired = len(block.instructions) + 1
+    cost = sum(i.cost for i in block.instructions) + block.terminator.cost
+    return retired, cost
 
 
 class _Unstructured(Exception):
@@ -651,8 +678,8 @@ class _FunctionEmitter:
                 return repr(operand.value)
             return self.m.const_name(operand.value)
         if type(operand) is StringConst:
-            # "str" prefix: "_s{n}" would collide with SegmentEmitter's
-            # timestamp temporaries in fused functions.
+            # "str" prefix: "_s{n}" would collide with the timestamp
+            # temporaries of fused functions.
             return self.m._name(operand.value, "str")
         if type(operand) is GlobalRef:
             if self.m.is_array_global(operand.name):
@@ -917,7 +944,7 @@ class _FunctionEmitter:
             return
         if _SIMPLE_INDEX_RE.fullmatch(index):
             # The slow arm binds the checked index first so a bad index
-            # still raises before the value conversion, like the decoder.
+            # still raises before the value conversion, like the tree engine.
             frag += [
                 f"if type({index}) is int and 0 <= {index} < {size_expr}:",
                 f"    {data}[{index}] = {conv}({value})",
@@ -1058,15 +1085,54 @@ def _live_out_sets(function) -> dict[int, frozenset]:
     return live_out
 
 
-class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
+def _block_shadow_reads(block) -> tuple[int, int]:
+    """``(known, resolved)`` shadow reads of one pass over ``block``.
+
+    Every profiled instruction and every branch/return terminator is one
+    profiling event (region markers and jumps are not). ``known`` counts
+    register operands of events that were defined earlier in the same
+    block; ``resolved`` counts every other shadow read: register operands
+    defined elsewhere, the memory cell a load reads, and one control-top
+    read per event. Both are pure functions of the IR, so the
+    ``fastpath.known_hits``/``fastpath.entry_resolutions`` counters they
+    feed do not depend on how the engine resolves shadows.
+    """
+    defined: set[int] = set()
+    known = resolved = 0
+
+    def event(reg_indices) -> None:
+        nonlocal known, resolved
+        for index in reg_indices:
+            if index in defined:
+                known += 1
+            else:
+                resolved += 1
+        resolved += 1  # control top
+
+    for instr in block.instructions:
+        cls = type(instr)
+        if cls is RegionEnter or cls is RegionExit:
+            continue
+        event(instr.shadow_ops)
+        if cls is Load:
+            resolved += 1
+        if instr.result_index is not None:
+            defined.add(instr.result_index)
+    term = block.terminator
+    if type(term) is Branch:
+        event((term.cond.index,) if type(term.cond) is Register else ())
+    elif type(term) is Ret:
+        event((term.value.index,) if type(term.value) is Register else ())
+    return known, resolved
+
+
+class _FusedFunctionEmitter(_FunctionEmitter):
     """Compiles one function with KremlinProfiler semantics baked in.
 
-    Shadow registers are locals (``s{i}``); the profiling fragments come
-    from :class:`SegmentEmitter`, shared with the fused bytecode decoder,
-    so both engines emit identical profiling arithmetic. Segments reset at
-    every block boundary and flush at every terminator and call — the same
-    boundaries the bytecode decoder's closures impose — which keeps the
-    fold order, and therefore the serialized profile, bit-identical.
+    Shadow registers are locals (``s{i}``). Segments reset at every block
+    boundary and flush at every terminator, call and region marker, which
+    keeps the fold order — and therefore the serialized profile —
+    bit-identical to the tree engine's per-event hooks.
     """
 
     fused = True
@@ -1078,18 +1144,9 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         self._max_depth = m.max_depth
         self._vthr = m.vector_threshold
         self.info = m.instrumentation.get(function.name)
-        # Symbolic segment algebra: events stay as (sources, offsets)
-        # tuples and only materialize timestamp lists where an entry
-        # escapes the segment. Values are provably identical to the
-        # per-event arithmetic, but the fastpath diagnostic counters are
-        # not, so metrics runs keep the mirrored SegmentEmitter fragments.
-        self.symbolic = not m.metrics_on
-        self.live_out = (
-            _live_out_sets(function) if self.symbolic else {}
-        )
+        self.live_out = _live_out_sets(function)
         self._seg_reset()
 
-    # SegmentEmitter host hook: shadow registers are locals here.
     def _sreg(self, index: int) -> str:
         self.s_used.add(index)
         return f"s{index}"
@@ -1101,14 +1158,38 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
     # -- symbolic segment engine ------------------------------------------
 
     def _seg_reset(self) -> None:
-        SegmentEmitter._seg_reset(self)
+        """Forget all segment-local codegen knowledge (block boundaries,
+        flush points)."""
+        self._seg_known: dict[int, _SymTS] = {}
+        self._seg_cost = 0
+        self._seg_loaded = False
         self._src_reg: dict[int, _SymSource] = {}
         self._ctrl_source: _SymSource | None = None
         self._pending_sreg: dict[int, _SymTS] = {}
         self._seg_events: list[_SymTS] = []
         self._seg_consumed: set[int] = set()
 
-    def _gen_event(
+    def _seg_load(self, lines) -> None:
+        if not self._seg_loaded:
+            lines.append("_cu = state[0]")
+            lines.append("_dp = state[1]")
+            self._seg_loaded = True
+
+    def _ts_name(self) -> str:
+        self._sym += 1
+        return f"_s{self._sym}"
+
+    def _event_value(
+        self, lines, cost, reg_indices, cell_expr=None, fresh_control=False
+    ) -> str:
+        """Like :meth:`_sym_event` but always yields a materialized
+        timestamp name (the entry escapes the segment)."""
+        ts = self._sym_event(
+            lines, cost, reg_indices, cell_expr, None, fresh_control
+        )
+        return self._materialize(lines, ts)
+
+    def _sym_event(
         self,
         lines,
         cost,
@@ -1116,43 +1197,9 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         cell_expr=None,
         result_index=None,
         fresh_control=False,
-    ):
-        if not self.symbolic:
-            return SegmentEmitter._gen_event(
-                self,
-                lines,
-                cost,
-                reg_indices,
-                cell_expr=cell_expr,
-                result_index=result_index,
-                fresh_control=fresh_control,
-            )
-        return self._sym_event(
-            lines, cost, reg_indices, cell_expr, result_index, fresh_control
-        )
-
-    def _event_value(
-        self, lines, cost, reg_indices, cell_expr=None, fresh_control=False
-    ) -> str:
-        """Like :meth:`_gen_event` but always yields a materialized
-        timestamp name (the entry escapes the segment)."""
-        if not self.symbolic:
-            return SegmentEmitter._gen_event(
-                self,
-                lines,
-                cost,
-                reg_indices,
-                cell_expr=cell_expr,
-                fresh_control=fresh_control,
-            )
-        ts = self._sym_event(
-            lines, cost, reg_indices, cell_expr, None, fresh_control
-        )
-        return self._materialize(lines, ts)
-
-    def _sym_event(
-        self, lines, cost, reg_indices, cell_expr, result_index, fresh_control
     ) -> _SymTS:
+        """One profiling event: ``ts = max(inputs) + cost``, kept
+        symbolic over the segment's resolved sources."""
         self._seg_load(lines)
         raw: dict[_SymSource, int] = {}
         const = 0
@@ -1225,9 +1272,11 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         return src
 
     def _entry_source(self, lines, expr: str) -> _SymSource:
-        """Resolve entry ``expr`` once into numbered locals; the same
-        statement-level resolve_entry the shared fragments use (plus
-        resolution-cache high-water upkeep, see _gen_region_exit)."""
+        """Resolve entry ``expr`` once into numbered locals: a
+        statement-level :func:`~repro.kremlib.shadow.resolve_entry` plus
+        resolution-cache high-water upkeep (see :meth:`_gen_region_exit`).
+        With metrics on, a stale entry (resolved prefix 0) bumps
+        ``shadow.stale_evictions``."""
         self._sym += 1
         n = self._sym
         e, tm, vl = f"_e{n}", f"_tm{n}", f"_vl{n}"
@@ -1257,77 +1306,108 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
             f"        if {vl} > _dp:",
             f"            {vl} = _dp",
         ]
+        if self._metrics_on:
+            lines += [
+                f"    if {vl} == 0:",
+                "        _mev[0] += 1",
+            ]
         return _SymSource("entry", tm, vl, f"{e} is not None")
 
     def _ctrl_src(self, lines) -> _SymSource:
+        """The control-top entry, resolved once per segment into
+        ``(_ctm, _cvl)`` (``_ctm is None`` when there is no influence)."""
         src = self._ctrl_source
         if src is None:
-            if self.symbolic:
-                self._sym_seg_control(lines)
-            else:
-                self._seg_control(lines)
+            lines += [
+                "_ce = control[-1][2] if control else None",
+                "if _ce is None:",
+                "    _ctm = None",
+                "else:",
+                "    _ctm, _ctg = _ce",
+                "    if _ctg is _cu:",
+                "        _cvl = len(_ctm)",
+                "        if _cvl > _dp:",
+                "            _cvl = _dp",
+                "    else:",
+                "        _cvl = _rcache.get(_ctg, -1)",
+                "        if _cvl < 0:",
+                "            _cvl = len(_ctg)",
+                "            if len(_cu) < _cvl:",
+                "                _cvl = len(_cu)",
+                "            _k = 0",
+                "            while _k < _cvl and _ctg[_k] == _cu[_k]:",
+                "                _k += 1",
+                "            _cvl = _k",
+                "            _rcache[_ctg] = _cvl",
+                "            if _cvl > _rmc[0]:",
+                "                _rmc[0] = _cvl",
+                "        if len(_ctm) < _cvl:",
+                "            _cvl = len(_ctm)",
+                "        if _cvl > _dp:",
+                "            _cvl = _dp",
+            ]
             src = _SymSource("ctrl", "_ctm", "_cvl", "_ctm is not None")
             self._ctrl_source = src
         return src
 
-    def _sym_seg_control(self, lines) -> None:
-        """Mixin _seg_control plus resolution-cache high-water upkeep."""
-        if self._seg_ctrl:
-            return
-        lines += [
-            "_ce = control[-1][2] if control else None",
-            "if _ce is None:",
-            "    _ctm = None",
-            "else:",
-            "    _ctm, _ctg = _ce",
-            "    if _ctg is _cu:",
-            "        _cvl = len(_ctm)",
-            "        if _cvl > _dp:",
-            "            _cvl = _dp",
-            "    else:",
-            "        _cvl = _rcache.get(_ctg, -1)",
-            "        if _cvl < 0:",
-            "            _cvl = len(_ctg)",
-            "            if len(_cu) < _cvl:",
-            "                _cvl = len(_cu)",
-            "            _k = 0",
-            "            while _k < _cvl and _ctg[_k] == _cu[_k]:",
-            "                _k += 1",
-            "            _cvl = _k",
-            "            _rcache[_ctg] = _cvl",
-            "            if _cvl > _rmc[0]:",
-            "                _rmc[0] = _cvl",
-            "        if len(_ctm) < _cvl:",
-            "            _cvl = len(_ctm)",
-            "        if _cvl > _dp:",
-            "            _cvl = _dp",
-        ]
-        self._seg_ctrl = True
-
-    # Resolution-cache maintenance across region boundaries. The mixin
-    # clears _rcache on every region event; a region ENTER actually
-    # preserves every cached common-prefix length exactly — the appended
-    # instance id is freshly allocated, so no cached tag can match it —
-    # and an EXIT only invalidates entries whose cached prefix overshoots
-    # the popped tag path. _rmc[0] tracks the cache's prefix high-water
-    # mark, so loop-level exits (the hot case: every cached prefix stops
-    # at or above the loop tag) skip the clear entirely.
+    # Resolution-cache maintenance across region boundaries. A region
+    # ENTER preserves every cached common-prefix length exactly — the
+    # appended instance id is freshly allocated, so no cached tag can
+    # match it — and an EXIT only invalidates entries whose cached prefix
+    # overshoots the popped tag path. _rmc[0] tracks the cache's prefix
+    # high-water mark, so loop-level exits (the hot case: every cached
+    # prefix stops at or above the loop tag) skip the clear entirely.
     def _gen_region_enter(self, lines, static_id) -> None:
-        if not self.symbolic:
-            SegmentEmitter._gen_region_enter(self, lines, static_id)
-            return
-        sub: list[str] = []
-        SegmentEmitter._gen_region_enter(self, sub, static_id)
-        lines += [line for line in sub if line != "_rcache.clear()"]
+        maxd = self._max_depth
+        lines += [
+            f"_tk = len(stack) < {maxd}",
+            f"_rg = _ActiveRegion({static_id}, prof._next_instance, _tk)",
+            "prof._next_instance += 1",
+            "stack.append(_rg)",
+            "_tg = state[0] + (_rg.instance,)",
+            "state[0] = _tg",
+            "prof.tags = _tg",
+            "_td = len(stack)",
+            f"if _td > {maxd}:",
+            f"    _td = {maxd}",
+            "state[1] = _td",
+            "prof.tracked_depth = _td",
+            "if _tk:",
+            "    cps.append(0)",
+        ]
 
     def _gen_region_exit(self, lines, static_id) -> None:
-        if not self.symbolic:
-            SegmentEmitter._gen_region_exit(self, lines, static_id)
-            return
-        sub: list[str] = []
-        SegmentEmitter._gen_region_exit(self, sub, static_id)
-        lines += [line for line in sub if line != "_rcache.clear()"]
+        maxd = self._max_depth
         lines += [
+            "if not stack:",
+            "    raise ProfilerError(",
+            f"        'region_exit #{static_id} with empty region stack')",
+            "_rg = stack.pop()",
+            f"if _rg.static_id != {static_id}:",
+            "    raise ProfilerError(",
+            f"        'unbalanced regions: exiting #{static_id} but '",
+            "        '#%d is on top' % _rg.static_id)",
+            "_tg = state[0][:-1]",
+            "state[0] = _tg",
+            "prof.tags = _tg",
+            "_td = len(stack)",
+            f"if _td > {maxd}:",
+            f"    _td = {maxd}",
+            "state[1] = _td",
+            "prof.tracked_depth = _td",
+            "if _rg.tracked:",
+            "    _rg.cp = cps.pop()",
+            "_cp = _rg.cp",
+            "if not _rg.tracked or _cp > _rg.work:",
+            "    _cp = _rg.work",
+            "_c = _intern(_rg.static_id, _rg.work, _cp,",
+            "             tuple(sorted(_rg.children.items())))",
+            "if stack:",
+            "    _pr = stack[-1]",
+            "    _pr.work += _rg.work",
+            "    _pr.children[_c] = _pr.children.get(_c, 0) + 1",
+            "else:",
+            "    prof.root_char = _c",
             "if _rmc[0] > len(_tg):",
             "    _rcache.clear()",
             "    _rmc[0] = 0",
@@ -1405,12 +1485,11 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         else:
             lines.append(pad + stmt)
 
-    def _seg_flush(self, lines, keep=None) -> None:
-        if not self.symbolic:
-            SegmentEmitter._seg_flush(self, lines)
-            return
+    def _seg_flush(self, lines, keep) -> None:
+        """Store the segment's pending shadows that are in ``keep``, fold
+        its work and cp maxima into the region stack, and reset."""
         for index, ts in self._pending_sreg.items():
-            if keep is not None and index not in keep:
+            if index not in keep:
                 continue  # shadow provably dead past this block
             tv = self._materialize(lines, ts)
             lines.append(f"{self._sreg(index)} = ({tv}, _cu)")
@@ -1480,6 +1559,12 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
 
     def _gen_head(self, frag: list[str], block) -> None:
         super()._gen_head(frag, block)
+        if self._metrics_on:
+            known, resolved = _block_shadow_reads(block)
+            if known:
+                frag.append(f"_mfp[0] += {known}")
+            if resolved:
+                frag.append(f"_mres[0] += {resolved}")
         if self.info is not None and block in self.info.pops_at:
             # Control-dependence join: entering ends the influence of
             # every branch whose join this block is (on_block_enter).
@@ -1495,28 +1580,26 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
 
     def _gen_instructions(self, frag: list[str], block) -> None:
         self._seg_reset()
-        if self.symbolic:
-            # Per-instruction keep sets for mid-block flushes (region ops
-            # and user calls): a pending shadow store may be elided there
-            # unless its register is read later in this block (including
-            # by the flushing instruction itself — calls resolve their
-            # argument sregs after the flush) or is live out of it.
-            keep = set(self.live_out.get(id(block), frozenset()))
-            for op in getattr(block.terminator, "operands", ()):
+        # Per-instruction keep sets for mid-block flushes (region ops and
+        # user calls): a pending shadow store may be elided there unless
+        # its register is read later in this block (including by the
+        # flushing instruction itself — calls resolve their argument
+        # sregs after the flush) or is live out of it.
+        keep = set(self.live_out[id(block)])
+        for op in getattr(block.terminator, "operands", ()):
+            if type(op) is Register:
+                keep.add(op.index)
+        mid: dict[int, frozenset] = {}
+        for instr in reversed(block.instructions):
+            for op in getattr(instr, "operands", ()):
                 if type(op) is Register:
                     keep.add(op.index)
-            mid: dict[int, frozenset] = {}
-            for instr in reversed(block.instructions):
-                for op in getattr(instr, "operands", ()):
-                    if type(op) is Register:
-                        keep.add(op.index)
-                mid[id(instr)] = frozenset(keep)
-            self._mid_keep = mid
+            mid[id(instr)] = frozenset(keep)
+        self._mid_keep = mid
         super()._gen_instructions(frag, block)
 
     def _mid_flush(self, frag: list[str], instr) -> None:
-        keep = self._mid_keep.get(id(instr)) if self.symbolic else None
-        self._seg_flush(frag, keep)
+        self._seg_flush(frag, self._mid_keep[id(instr)])
 
     def _gen_instr(self, frag: list[str], instr, nxt) -> None:
         cls = type(instr)
@@ -1535,7 +1618,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
 
     def _post_compute(self, frag: list[str], instr) -> None:
         # on_compute / on_builtin, fused.
-        self._gen_event(
+        self._sym_event(
             frag,
             instr.cost,
             instr.shadow_ops,
@@ -1580,7 +1663,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
             ]
             frag.append("_cm = mem_shadow.get(id(st))")
             cell = "None if _cm is None else _cm[i]"
-        self._gen_event(
+        self._sym_event(
             frag,
             instr.cost,
             instr.shadow_ops,
@@ -1639,7 +1722,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
     # -- terminators -------------------------------------------------------
 
     def _preterm(self, frag: list[str], block, term) -> None:
-        keep = self.live_out.get(id(block)) if self.symbolic else None
+        keep = self.live_out[id(block)]
         if type(term) is Jump:
             # No event fires for unconditional jumps.
             self._seg_flush(frag, keep)
@@ -1649,7 +1732,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         # (and do not chain the new entry off the old one; see on_branch).
         info = self.m.instrumentation[self.function.name]
         block_key = id(block)
-        if self.symbolic and block in info.loop_branch_blocks:
+        if block in info.loop_branch_blocks:
             # Loop-continuation tests never push their own control entry,
             # so the back-edge truncation scan can never match and the
             # control top is unchanged since the segment started: skip the
@@ -1657,7 +1740,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
             reg_indices = (
                 (term.cond.index,) if type(term.cond) is Register else ()
             )
-            self._sym_event(frag, term.cost, reg_indices, None, None, False)
+            self._sym_event(frag, term.cost, reg_indices)
             self._seg_flush(frag, keep)
             return
         frag += [
@@ -1705,7 +1788,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         tv = self._event_value(frag, term.cost, reg_indices)
         frag.append(f"prof._pending_return = {tv}")
         # Returning: every pending shadow store is dead past this point.
-        self._seg_flush(frag, frozenset() if self.symbolic else None)
+        self._seg_flush(frag, frozenset())
         frag.append("return v" if term.value is not None else "return None")
         return frag
 
@@ -1717,7 +1800,7 @@ class _FusedFunctionEmitter(_FunctionEmitter, SegmentEmitter):
         cost = instr.cost
         args = [self._operand(arg) for arg in instr.args]
         # on_call: seed the callee's parameter shadows and charge the call
-        # overhead itself — same statement order as the fused decoder.
+        # overhead itself — same statement order as KremlinProfiler.on_call.
         frag.append("_cur = state[0]")
         frag.append("_tdp = state[1]")
         frag.append(

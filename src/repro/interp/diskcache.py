@@ -16,9 +16,10 @@ everything that can change the generated code:
 * the vectorization threshold (it changes the emitted fold statements),
 * the cost model (instruction costs are baked into the source as
   literals),
-* a digest of the emitter implementation itself (``codegen.py`` +
-  ``segments.py`` + ``shadow.py``), so editing the compiler silently
-  invalidates every stale entry without manual version bumps, and
+* a digest of the emitter implementation itself (``codegen.py``, the
+  ``runtime.py`` that binds the generated code's environment, and
+  ``shadow.py``), so editing the compiler silently invalidates every
+  stale entry without manual version bumps, and
 * CPython's bytecode magic number (``marshal`` payloads are
   version-specific).
 
@@ -143,8 +144,8 @@ def _count(name: str, amount: int = 1) -> None:
 def _emitter_digest() -> str:
     """Digest of the code-emitting implementation itself.
 
-    Any edit to the AOT emitter, the shared segment fragments, or the
-    shadow kernels changes the generated source or its runtime helpers;
+    Any edit to the AOT emitter, the runtime that binds its environment,
+    or the shadow kernels changes the generated source or its helpers;
     hashing their file contents makes stale entries unreachable without
     anyone remembering to bump a version constant.
     """
@@ -155,7 +156,7 @@ def _emitter_digest() -> str:
         kremlib = os.path.normpath(os.path.join(here, "..", "kremlib"))
         for path in (
             os.path.join(here, "codegen.py"),
-            os.path.join(kremlib, "segments.py"),
+            os.path.join(here, "runtime.py"),
             os.path.join(kremlib, "shadow.py"),
         ):
             try:

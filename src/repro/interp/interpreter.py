@@ -131,13 +131,16 @@ class Interpreter:
 
     Two execution engines share this class:
 
-    * ``engine="bytecode"`` — the predecoded closure-dispatch
-      engine from :mod:`repro.interp.bytecode`. Supports ``observer=None``
-      (plain stream) and :class:`~repro.kremlib.profiler.KremlinProfiler`
-      (fused instrumented stream). Any other observer silently falls back
-      to the tree engine, which fires the full generic hook protocol.
-    * ``engine="tree"`` — the original tree-walking reference
-      implementation below, kept for differential testing.
+    * ``engine="compiled"`` (the default) — the AOT code generator from
+      :mod:`repro.interp.codegen`, run by
+      :class:`repro.interp.runtime.CompiledEngine`. Supports
+      ``observer=None`` (plain flavor) and
+      :class:`~repro.kremlib.profiler.KremlinProfiler` (fused flavor, the
+      profiler's hook bodies baked into the generated code). Any other
+      observer silently falls back to the tree engine, which fires the
+      full generic hook protocol.
+    * ``engine="tree"`` — the tree-walking reference implementation
+      below, kept as the semantic reference for differential testing.
     """
 
     def __init__(
@@ -152,13 +155,12 @@ class Interpreter:
         self.observer = observer
         self.max_instructions = max_instructions
 
-        if engine not in ("bytecode", "tree", "compiled"):
+        if engine not in ("tree", "compiled"):
             raise InterpreterError(
-                f"unknown engine {engine!r} "
-                "(expected 'tree', 'bytecode', or 'compiled')"
+                f"unknown engine {engine!r} (expected 'tree' or 'compiled')"
             )
         if (
-            engine in ("bytecode", "compiled")
+            engine == "compiled"
             and observer is not None
             and not getattr(observer, "supports_fused_decode", False)
         ):
@@ -166,7 +168,6 @@ class Interpreter:
             # the tree engine fires.
             engine = "tree"
         self.engine = engine
-        self._bytecode = None
         self._compiled = None
 
         self.globals_scalar: dict[str, int | float] = {}
@@ -226,9 +227,9 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Eagerly decode/compile the selected engine's code.
+        """Eagerly compile the selected engine's code.
 
-        Normally decode and codegen are lazy (first ``run()``); sessions
+        Normally codegen is lazy (first ``run()``); sessions
         that want codegen cost up front — e.g. to cache compiled units
         before timing runs — call this explicitly. No-op for the tree
         engine.
@@ -239,13 +240,6 @@ class Interpreter:
             if self._compiled is None:
                 self._compiled = CompiledEngine(self)
             self._compiled.prepare()
-        elif self.engine == "bytecode":
-            from repro.interp.bytecode import BytecodeEngine
-
-            if self._bytecode is None:
-                self._bytecode = BytecodeEngine(self)
-            if not self._bytecode._decoded:
-                self._bytecode._decode()
 
     def run(self, entry: str = "main", args: tuple = ()) -> RunResult:
         if self.engine == "compiled":
@@ -254,12 +248,6 @@ class Interpreter:
             if self._compiled is None:
                 self._compiled = CompiledEngine(self)
             return self._compiled.run(entry, args)
-        if self.engine == "bytecode":
-            from repro.interp.bytecode import BytecodeEngine
-
-            if self._bytecode is None:
-                self._bytecode = BytecodeEngine(self)
-            return self._bytecode.run(entry, args)
         observer = self.observer
         if observer is not None:
             observer.on_run_start(self)

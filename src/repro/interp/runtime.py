@@ -6,7 +6,7 @@ environment (instance-scoped names like ``cells``/``interp``/``counts``
 and the ``_go_*``/``_ga_*``/``_gid_*`` global-array bindings; profiler
 state mirrors for the fused flavor), executes the unit's code object to
 materialize the generated functions, and drives entry-point calls with
-the same run lifecycle the bytecode engine uses.
+the same run lifecycle as the tree engine.
 
 Code objects are compiled once per program (cached on the program by
 :func:`~repro.interp.codegen.codegen_unit`); per-interpreter preparation
@@ -17,10 +17,39 @@ from __future__ import annotations
 
 import time
 
-from repro.interp.bytecode import _slow_index
 from repro.interp.codegen import codegen_unit
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import ArrayStorage, RunResult
+
+
+def _slow_index(index, size: int, span) -> int:
+    """Out-of-line index check, same semantics as interpreter._check_index.
+
+    Bound as ``_slow_index`` in generated code."""
+    if not isinstance(index, int):
+        raise InterpreterError(f"non-integer array index {index!r}", span)
+    if index < 0 or index >= size:
+        raise InterpreterError(
+            f"array index {index} out of bounds (size {size})", span
+        )
+    return index
+
+
+def _compute_ts(inputs, cost: int, depth: int) -> list:
+    """Reference merge: ts[d] = max over inputs of times[d] (0 beyond
+    validity) + cost. Bound as ``_cts``; the fused call sites use it,
+    the per-segment generated code expands the same math inline."""
+    ts = [cost] * depth
+    for times, valid in inputs:
+        if valid > depth:
+            valid = depth
+        d = 0
+        for t in times[:valid]:
+            t += cost
+            if t > ts[d]:
+                ts[d] = t
+            d += 1
+    return ts
 
 
 class CompiledEngine:
@@ -37,7 +66,9 @@ class CompiledEngine:
         #: wall-clock seconds spent in prepare() (codegen + env binding);
         #: near-zero on unit-cache hits. The bench harness records it.
         self.codegen_seconds = 0.0
-        # Fused-flavor profiler mirrors (same roles as FusedDecoder's).
+        # Fused-flavor profiler mirrors: ``state`` is [tags, tracked_depth],
+        # ``cps`` the per-depth critical-path maxima of the open regions,
+        # ``_rcache`` the common-prefix resolution cache.
         self._state: list | None = None
         self._cps: list | None = None
         self._rcache: dict | None = None
@@ -85,13 +116,8 @@ class CompiledEngine:
             )
         else:
             # The Interpreter only routes KremlinProfiler observers here.
-            from repro.kremlib.fastpath import _compute_ts
             from repro.kremlib.profiler import ProfilerError, _ActiveRegion
-            from repro.kremlib.shadow import (
-                fold_max_into,
-                merged_event,
-                resolve_entry,
-            )
+            from repro.kremlib.shadow import fold_max_into, resolve_entry
             from repro.obs.metrics import get_metrics, metrics_enabled
 
             metrics_on = metrics_enabled()
@@ -120,7 +146,6 @@ class CompiledEngine:
                     "_resolve": resolve_entry,
                     "_cts": _compute_ts,
                     "_vmax": fold_max_into,
-                    "_vts": merged_event,
                 }
             )
             if metrics_on:
@@ -189,7 +214,7 @@ class CompiledEngine:
             value = fn(*args, 0)
         else:
             # Entry-point shadow parameters start unwritten, exactly like
-            # the bytecode engine's fresh sregs list.
+            # the tree profiler's fresh ShadowFrame.
             value = fn(*args, *([None] * len(function.params)), 0)
         interp.instructions_retired = counts[0]
         interp.total_cost = counts[1]

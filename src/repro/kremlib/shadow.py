@@ -13,12 +13,12 @@ tuple). Depths beyond the valid prefix read as time 0 — exactly the paper's
 rule that data written by an exited sibling region instance "is discarded
 ... assuming time 0 instead" (§4.2).
 
-This module also hosts the **vectorized fold kernels** both profiling
-fast paths call from generated code when a straight-line segment carries
-at least :func:`vector_threshold` full-depth timestamp vectors: the
-per-depth availability merge (``max`` over event vectors + cost) and the
-region-stack cp fold become single numpy reductions instead of N Python
-loops. The kernels are value-exact — int64 max/add on Python ints, with
+This module also hosts the **vectorized fold kernels**: when a
+straight-line segment of the compiled engine's generated code carries at
+least :func:`vector_threshold` full-depth timestamp vectors, the
+region-stack cp fold becomes a single numpy reduction instead of N Python
+loops (:func:`fold_max_into`); :func:`merged_event` is the same kernel
+for the per-depth availability merge (``max`` over event vectors + cost). The kernels are value-exact — int64 max/add on Python ints, with
 results converted back to Python ints — so serialized profiles stay
 byte-identical to the scalar forms (the differential suite enforces it).
 Below the threshold the emitters keep the scalar statements, which beat
@@ -99,8 +99,7 @@ def fold_max_into(cps, vectors, dp) -> None:
 
 def merged_event(vectors, cost):
     """Availability merge: pointwise ``max`` over full-depth vectors plus
-    the event cost, as a list of Python ints. Bound as ``_vts`` in the
-    generated-source environments."""
+    the event cost, as a list of Python ints."""
     if _np is not None:
         try:
             return (

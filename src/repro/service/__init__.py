@@ -4,8 +4,6 @@ The pieces (see ``docs/SERVICE.md``):
 
 * :mod:`repro.service.store` — sharded on-disk profile store: per-program
   append logs, canonical-order merge, snapshot compaction;
-* :mod:`repro.service.cache` — thread-safe bounded LRU (session compile
-  caches and the server's shared result cache);
 * :mod:`repro.service.protocol` — versioned NDJSON request/response
   envelopes and their structured error codes;
 * :mod:`repro.service.server` — the asyncio front end (``kremlin serve``);
@@ -13,16 +11,16 @@ The pieces (see ``docs/SERVICE.md``):
   (``kremlin submit``);
 * :mod:`repro.service.loadgen` — the many-client load harness.
 
-Exports resolve lazily: :mod:`repro.api` imports the cache from here for
-the session compile cache, while the server imports the session from
-:mod:`repro.api` — eager re-exports would make that a cycle (and would
-drag asyncio/socket machinery into every ``import repro``).
+Exports resolve lazily so that importing this package does not drag
+asyncio/socket machinery into every ``import repro``. ``LRUCache`` (the
+server's shared result cache) lives in :mod:`repro.lru` and is
+re-exported here.
 """
 
 from __future__ import annotations
 
 _EXPORTS = {
-    "LRUCache": ("repro.service.cache", "LRUCache"),
+    "LRUCache": ("repro.lru", "LRUCache"),
     "ProfileStore": ("repro.service.store", "ProfileStore"),
     "ProfileStoreError": ("repro.service.store", "ProfileStoreError"),
     "SubmitReceipt": ("repro.service.store", "SubmitReceipt"),

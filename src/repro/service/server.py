@@ -62,7 +62,7 @@ from repro.interp.errors import InterpreterError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.planner.registry import available_personalities, create_planner
-from repro.service.cache import LRUCache
+from repro.lru import LRUCache
 from repro.service.protocol import (
     MAX_REQUEST_BYTES,
     ProtocolError,

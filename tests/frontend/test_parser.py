@@ -316,3 +316,54 @@ class TestSpans:
         loop = program.function("main").body.body[0]
         assert isinstance(loop, ForStmt)
         assert loop.span.line_range == (2, 4)
+
+
+def _nested(shape: str, depth: int) -> str:
+    if shape == "parens":
+        return "int main() { return " + "(" * depth + "1" + ")" * depth + "; }"
+    if shape == "ifs":
+        return (
+            "int main() { int x = 0; "
+            + "if (x < 5) { " * depth
+            + "x = x + 1;"
+            + " }" * depth
+            + " return x; }"
+        )
+    assert shape == "blocks"
+    return (
+        "int main() { int x = 0; "
+        + "{ " * depth
+        + "x = x + 1;"
+        + " }" * depth
+        + " return x; }"
+    )
+
+
+class TestNestingLimit:
+    """Deep nesting ends in a located diagnostic, never a RecursionError."""
+
+    @pytest.mark.parametrize(
+        "shape, depth", [("parens", 200), ("ifs", 800), ("blocks", 800)]
+    )
+    def test_too_deep_is_a_located_parse_error(self, shape, depth):
+        from repro import CompileOptions, KremlinSession
+
+        session = KremlinSession(
+            compile_options=CompileOptions(filename="deep.c")
+        )
+        with pytest.raises(ParseError) as caught:
+            session.analyze(_nested(shape, depth))
+        error = caught.value
+        assert "nesting too deep" in error.message
+        assert error.span is not None
+        assert error.render().startswith("deep.c:1:")
+
+    @pytest.mark.parametrize("shape", ["parens", "ifs", "blocks"])
+    def test_nesting_below_the_limit_runs(self, shape):
+        from repro import KremlinSession
+        from repro.frontend.parser import MAX_NESTING
+
+        # A braced if is two levels (the if and its block).
+        depth = MAX_NESTING // 2 - 2 if shape == "ifs" else MAX_NESTING - 4
+        report = KremlinSession().analyze(_nested(shape, depth))
+        assert report.run.value == 1

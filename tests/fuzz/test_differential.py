@@ -65,7 +65,7 @@ def test_profile_mismatch_reports_first_divergence(monkeypatch):
         result, serialized, profile, error = real(
             program, engine, profiled, max_depth, max_instructions
         )
-        if profiled and engine == "bytecode" and error is None:
+        if profiled and engine == "compiled" and error is None:
             data = json.loads(serialized)
             data["dictionary"][0]["cp"] += 1
             serialized = json.dumps(data, sort_keys=True)

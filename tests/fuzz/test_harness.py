@@ -6,7 +6,7 @@ import pytest
 
 from repro.fuzz.differential import run_differential, DifferentialFailure
 from repro.fuzz.harness import FuzzHarness, fuzz_main
-from repro.kremlib import fastpath
+from repro.interp import codegen, diskcache
 
 
 def test_clean_run_over_seed_range(tmp_path):
@@ -24,10 +24,15 @@ def test_clean_run_over_seed_range(tmp_path):
 
 @pytest.fixture
 def planted_fastpath_bug(monkeypatch):
-    """Inject an off-by-one into the fused decoder's cost accounting — the
+    """Inject an off-by-one into the fused emitter's cost accounting — the
     exact class of bug the differential fuzzer exists to catch: results
-    stay identical, only the bytecode engine's profile drifts."""
-    original = fastpath.FusedDecoder._gen_event
+    stay identical, only the compiled engine's profile drifts.
+
+    The persistent codegen cache is switched off for the test: a unit
+    cached by an earlier run of the same program would hide the bug.
+    The fuzz harness compiles every program fresh, so the in-memory unit
+    cache on the program object cannot hide it either."""
+    original = codegen._FusedFunctionEmitter._sym_event
 
     def buggy(self, lines, cost, reg_indices, cell_expr=None,
               result_index=None, fresh_control=False):
@@ -36,8 +41,11 @@ def planted_fastpath_bug(monkeypatch):
             result_index=result_index, fresh_control=fresh_control,
         )
 
-    monkeypatch.setattr(fastpath.FusedDecoder, "_gen_event", buggy)
-    return buggy
+    monkeypatch.setattr(codegen._FusedFunctionEmitter, "_sym_event", buggy)
+    previous = dict(diskcache._configured)
+    diskcache.configure(enabled=False)
+    yield buggy
+    diskcache.configure(**previous)
 
 
 def test_planted_fastpath_bug_is_caught_and_shrunk(

@@ -1,9 +1,9 @@
-"""Differential test: tree vs. bytecode vs. AOT-compiled engine.
+"""Differential test: tree vs. AOT-compiled engine.
 
-The bytecode and compiled engines are performance reimplementations of
-the interpreter; the tree-walking engine is the reference. This file runs
-every benchmark in the suite under all three engines — plain and under
-the KremLib profiler — and asserts bit-identical results: the program's
+The compiled engine is a performance reimplementation of the
+interpreter; the tree-walking engine is the reference. This file runs
+every benchmark in the suite under both engines — plain and under the
+KremLib profiler — and asserts bit-identical results: the program's
 return value and output, the instruction accounting, and (for profiled
 runs) the serialized parallelism profile, byte for byte.
 """
@@ -18,6 +18,7 @@ from repro.bench_suite.registry import all_benchmarks, get_benchmark
 from repro.hcpa.serialize import profile_to_json
 from repro.interp.interpreter import Interpreter
 from repro.kremlib.profiler import KremlinProfiler
+from repro.obs import collecting_metrics
 
 NAMES = [benchmark.name for benchmark in all_benchmarks()]
 
@@ -48,7 +49,7 @@ def _assert_same_result(a, b):
     assert a.total_cost == b.total_cost
 
 
-FAST_ENGINES = ("bytecode", "compiled")
+FAST_ENGINES = ("compiled",)
 
 
 @pytest.mark.parametrize("engine", FAST_ENGINES)
@@ -75,6 +76,17 @@ def test_profiler_does_not_perturb_execution(name, engine):
     plain, _ = _run(name, engine, profiled=False)
     profiled, _ = _run(name, engine, profiled=True)
     _assert_same_result(plain, profiled)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_metrics_on_profiles_identical(name):
+    """Counter-bump lines never change a profile: a metrics-on compiled
+    run serializes exactly like a metrics-off one (which matches tree)."""
+    off, off_profile = _run(name, "compiled", profiled=True)
+    with collecting_metrics():
+        on, on_profile = _run(name, "compiled", profiled=True)
+    _assert_same_result(off, on)
+    assert off_profile == on_profile
 
 
 @pytest.mark.parametrize("engine", FAST_ENGINES)

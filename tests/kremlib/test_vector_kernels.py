@@ -22,7 +22,7 @@ from repro.kremlib.profiler import KremlinProfiler
 
 numpy = pytest.importorskip("numpy")
 
-ENGINES = ("tree", "bytecode", "compiled")
+ENGINES = ("tree", "compiled")
 
 # A wide basic block: one segment retires far more than
 # DEFAULT_VECTOR_THRESHOLD shadow events, so thresholds 1-8 all force the

@@ -52,7 +52,7 @@ class TestRegistryBasics(unittest.TestCase):
     def test_counter_cell_is_shared_with_registry(self):
         registry = MetricsRegistry()
         cell = registry.counter("boxed").cell
-        cell[0] += 7  # what generated bytecode closures do
+        cell[0] += 7  # what the compiled engine's generated code does
         self.assertEqual(registry.counter("boxed").value, 7)
 
     def test_reset_zeroes_everything(self):
@@ -85,7 +85,7 @@ class TestRegistryBasics(unittest.TestCase):
 
 
 class TestExactHotPathCounts(unittest.TestCase):
-    """The fused decoder's counter emission is deterministic: the same
+    """The compiled engine's counter emission is deterministic: the same
     program must always produce the same exact counts."""
 
     def _analyze_counts(self) -> dict:
@@ -124,15 +124,43 @@ class TestExactHotPathCounts(unittest.TestCase):
             - counters["compress.dictionary_entries"],
         )
 
+    def test_fastpath_counts_follow_the_ir_definition(self):
+        """known_hits / entry_resolutions are per-block IR constants
+        times the number of times each block ran."""
+        from collections import Counter
+
+        from repro import kremlin_cc
+        from repro.interp.codegen import _block_shadow_reads
+        from repro.interp.interpreter import ExecutionObserver, Interpreter
+
+        visits: Counter = Counter()
+
+        class BlockCounter(ExecutionObserver):
+            def on_block_enter(self, block, frame):
+                visits[id(block)] += 1
+
+        program = kremlin_cc(COUNTING_SOURCE, "count.c")
+        Interpreter(program, observer=BlockCounter(), engine="tree").run()
+        known = resolved = 0
+        for function in program.module.functions.values():
+            for block in function.blocks:
+                block_known, block_resolved = _block_shadow_reads(block)
+                known += block_known * visits[id(block)]
+                resolved += block_resolved * visits[id(block)]
+        counters = self._analyze_counts()
+        self.assertEqual(counters["fastpath.known_hits"], known)
+        self.assertEqual(counters["fastpath.entry_resolutions"], resolved)
+
     def test_engines_disagree_on_fastpath_but_agree_on_results(self):
         with collecting_metrics() as registry:
             KremlinSession(
                 profile_options=ProfileOptions(engine="tree")
             ).analyze(COUNTING_SOURCE)
         counters = registry.to_dict()["counters"]
-        # The tree engine never runs generated code, so the decode-time
+        # The tree engine never runs generated code, so the codegen-time
         # fastpath counters must stay absent or zero.
         self.assertEqual(counters.get("fastpath.known_hits", 0), 0)
+        self.assertEqual(counters.get("fastpath.entry_resolutions", 0), 0)
         self.assertEqual(counters["shadow.frames"], 1)
         self.assertGreater(counters["interp.instructions.tree"], 0)
 
@@ -173,8 +201,8 @@ int main() {
         return json.dumps(profile_to_json(report.profile), sort_keys=True)
 
     def test_profiles_identical_with_and_without_observability(self):
-        baseline = self._profile_bytes("bytecode", observed=False)
-        self.assertEqual(baseline, self._profile_bytes("bytecode", True))
+        baseline = self._profile_bytes("compiled", observed=False)
+        self.assertEqual(baseline, self._profile_bytes("compiled", True))
         self.assertEqual(baseline, self._profile_bytes("tree", False))
         self.assertEqual(baseline, self._profile_bytes("tree", True))
 

@@ -4,7 +4,7 @@ import threading
 import unittest
 
 from repro.obs.metrics import collecting_metrics
-from repro.service.cache import LRUCache
+from repro.service import LRUCache
 
 
 class TestLRUCache(unittest.TestCase):
