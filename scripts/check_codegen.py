@@ -10,7 +10,11 @@ under the compiled engine and asserts, for each one:
    byte-identical to the tree engine's, at unlimited depth and under a
    depth window (``max_depth=2``);
 3. generated code is actually being exercised (the unit cache reports
-   codegen activity).
+   codegen activity);
+4. the fused unit stays compact: its source lines per IR instruction
+   (terminators included) stay at or below ``MAX_FUSED_LINES_PER_INSTR``,
+   so growth in emitted size fails here instead of showing up later as
+   slower cold compiles.
 
 Exit code 0 = all checks pass. Run from the repo root:
 
@@ -28,11 +32,27 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.hcpa.serialize import profile_to_json  # noqa: E402
 from repro.instrument.compile import kremlin_cc  # noqa: E402
+from repro.interp.codegen import codegen_unit  # noqa: E402
 from repro.interp.interpreter import Interpreter  # noqa: E402
 from repro.kremlib.profiler import KremlinProfiler  # noqa: E402
 
 CORPUS = sorted((REPO_ROOT / "tests" / "fuzz" / "corpus").glob("*.c"))
 EXAMPLES = [REPO_ROOT / "examples" / "quickstart.c"]
+
+#: ceiling on fused source lines per IR instruction: the largest ratio
+#: measured over the programs above when per-site boilerplate moved into
+#: runtime helpers (15.17, seed-recursion-depth-window.c), plus 20%
+MAX_FUSED_LINES_PER_INSTR = 18.2
+
+
+def _fused_lines_per_instr(program) -> float:
+    source = codegen_unit(program, "fused").source
+    instructions = sum(
+        len(block.instructions) + 1
+        for function in program.module.functions.values()
+        for block in function.blocks
+    )
+    return source.count("\n") / instructions
 
 
 def _signature(program, engine: str, max_depth=None) -> tuple:
@@ -84,7 +104,19 @@ def main() -> int:
                 failures += 1
                 break
         else:
-            print(f"codegen-smoke: ok {label}")
+            ratio = _fused_lines_per_instr(program)
+            if ratio > MAX_FUSED_LINES_PER_INSTR:
+                print(
+                    f"codegen-smoke: FAIL {label}: {ratio:.2f} fused lines "
+                    f"per IR instruction (ceiling "
+                    f"{MAX_FUSED_LINES_PER_INSTR:.2f})"
+                )
+                failures += 1
+            else:
+                print(
+                    f"codegen-smoke: ok {label} "
+                    f"({ratio:.2f} fused lines per IR instruction)"
+                )
 
     # Generated code must actually have been exercised: every program
     # accumulates its AOT units in the per-program codegen cache.

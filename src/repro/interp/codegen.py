@@ -47,9 +47,13 @@ to by reserved names (``_go_{name}``/``_ga_{name}``/``_gid_{name}``,
 ``cells``, ``interp``) bound into the exec environment by
 :class:`repro.interp.runtime.CompiledEngine` at prepare time. Program-
 scoped objects (spans, string constants, builtin impls) live in the unit's
-``program_env``. Units are therefore cached per ``CompiledProgram`` keyed
-by flavor/budget/depth/metrics — code that mutates the IR must recompile
-from a fresh program, exactly like re-running ``kremlin_cc``.
+``program_env``. The fused flavor's per-site boilerplate — region
+enter/exit and the resolution-cache miss — is outlined into runtime
+helpers (``_renter``/``_rexit``/``_rmiss``, :mod:`repro.interp.runtime`),
+which also keeps the profiler's depth window out of the source. Units are
+therefore cached per ``CompiledProgram`` keyed by flavor/budget/metrics/
+vector threshold — code that mutates the IR must recompile from a fresh
+program, exactly like re-running ``kremlin_cc``.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ from repro.ir.instructions import (
 from repro.ir.types import FLOAT, INT, ArrayType
 from repro.ir.values import Constant, GlobalRef, Register, StringConst
 from repro.kremlib import shadow
+from repro.obs.metrics import get_metrics, metrics_enabled
 
 _PAD = "    "
 
@@ -772,34 +777,35 @@ class _FunctionEmitter:
             frag.append(f"r{res} = {value}")
             self._post_compute(frag, instr)
             return
-        span = self.m._name(instr.span, "sp")
+        if op not in ("/", "%"):
+            raise InterpreterError(
+                f"unknown binary operator {op!r}", instr.span
+            )
+        frag.append(f"b = {b}")
+        # A nonzero literal divisor cannot trip the zero check.
+        if not (type(instr.rhs) is Constant and instr.rhs.value != 0):
+            span = self.m._name(instr.span, "sp")
+            what = "division" if op == "/" else "modulo"
+            frag += [
+                "if b == 0:",
+                f"    raise InterpreterError('{what} by zero', {span})",
+            ]
+        frag.append(f"a = {a}")
         if op == "/":
             frag += [
-                f"b = {b}",
-                "if b == 0:",
-                f"    raise InterpreterError('division by zero', {span})",
-                f"a = {a}",
                 "if isinstance(a, int) and isinstance(b, int):",
                 "    q = abs(a) // abs(b)",
                 f"    r{res} = -q if (a < 0) != (b < 0) else q",
                 "else:",
                 f"    r{res} = a / b",
             ]
-        elif op == "%":
+        else:
             frag += [
-                f"b = {b}",
-                "if b == 0:",
-                f"    raise InterpreterError('modulo by zero', {span})",
-                f"a = {a}",
                 "q = abs(a) // abs(b)",
                 "if (a < 0) != (b < 0):",
                 "    q = -q",
                 f"r{res} = a - q * b",
             ]
-        else:
-            raise InterpreterError(
-                f"unknown binary operator {op!r}", instr.span
-            )
         self._post_compute(frag, instr)
 
     def _gen_copy(self, frag: list[str], instr, nxt) -> None:
@@ -1141,7 +1147,6 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         super().__init__(m, function)
         self.s_used: set[int] = set()
         self._metrics_on = m.metrics_on
-        self._max_depth = m.max_depth
         self._vthr = m.vector_threshold
         self.info = m.instrumentation.get(function.name)
         self.live_out = _live_out_sets(function)
@@ -1272,40 +1277,14 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         return src
 
     def _entry_source(self, lines, expr: str) -> _SymSource:
-        """Resolve entry ``expr`` once into numbered locals: a
-        statement-level :func:`~repro.kremlib.shadow.resolve_entry` plus
-        resolution-cache high-water upkeep (see :meth:`_gen_region_exit`).
-        With metrics on, a stale entry (resolved prefix 0) bumps
-        ``shadow.stale_evictions``."""
+        """Resolve entry ``expr`` once into numbered locals (see
+        :meth:`_resolve_lines`). With metrics on, a stale entry (resolved
+        prefix 0) bumps ``shadow.stale_evictions``."""
         self._sym += 1
         n = self._sym
         e, tm, vl = f"_e{n}", f"_tm{n}", f"_vl{n}"
-        lines += [
-            f"{e} = {expr}",
-            f"if {e} is not None:",
-            f"    {tm}, _tg = {e}",
-            "    if _tg is _cu:",
-            f"        {vl} = len({tm})",
-            f"        if {vl} > _dp:",
-            f"            {vl} = _dp",
-            "    else:",
-            f"        {vl} = _rcache.get(_tg, -1)",
-            f"        if {vl} < 0:",
-            f"            {vl} = len(_tg)",
-            f"            if len(_cu) < {vl}:",
-            f"                {vl} = len(_cu)",
-            "            _k = 0",
-            f"            while _k < {vl} and _tg[_k] == _cu[_k]:",
-            "                _k += 1",
-            f"            {vl} = _k",
-            f"            _rcache[_tg] = {vl}",
-            f"            if {vl} > _rmc[0]:",
-            f"                _rmc[0] = {vl}",
-            f"        if len({tm}) < {vl}:",
-            f"            {vl} = len({tm})",
-            f"        if {vl} > _dp:",
-            f"            {vl} = _dp",
-        ]
+        lines.append(f"{e} = {expr}")
+        self._resolve_lines(lines, e, tm, vl)
         if self._metrics_on:
             lines += [
                 f"    if {vl} == 0:",
@@ -1315,102 +1294,38 @@ class _FusedFunctionEmitter(_FunctionEmitter):
 
     def _ctrl_src(self, lines) -> _SymSource:
         """The control-top entry, resolved once per segment into
-        ``(_ctm, _cvl)`` (``_ctm is None`` when there is no influence)."""
+        ``(_ctm, _cvl)`` (guarded by ``_ce is not None``)."""
         src = self._ctrl_source
         if src is None:
-            lines += [
-                "_ce = control[-1][2] if control else None",
-                "if _ce is None:",
-                "    _ctm = None",
-                "else:",
-                "    _ctm, _ctg = _ce",
-                "    if _ctg is _cu:",
-                "        _cvl = len(_ctm)",
-                "        if _cvl > _dp:",
-                "            _cvl = _dp",
-                "    else:",
-                "        _cvl = _rcache.get(_ctg, -1)",
-                "        if _cvl < 0:",
-                "            _cvl = len(_ctg)",
-                "            if len(_cu) < _cvl:",
-                "                _cvl = len(_cu)",
-                "            _k = 0",
-                "            while _k < _cvl and _ctg[_k] == _cu[_k]:",
-                "                _k += 1",
-                "            _cvl = _k",
-                "            _rcache[_ctg] = _cvl",
-                "            if _cvl > _rmc[0]:",
-                "                _rmc[0] = _cvl",
-                "        if len(_ctm) < _cvl:",
-                "            _cvl = len(_ctm)",
-                "        if _cvl > _dp:",
-                "            _cvl = _dp",
-            ]
-            src = _SymSource("ctrl", "_ctm", "_cvl", "_ctm is not None")
+            lines.append("_ce = control[-1][2] if control else None")
+            self._resolve_lines(lines, "_ce", "_ctm", "_cvl")
+            src = _SymSource("ctrl", "_ctm", "_cvl", "_ce is not None")
             self._ctrl_source = src
         return src
 
-    # Resolution-cache maintenance across region boundaries. A region
-    # ENTER preserves every cached common-prefix length exactly — the
-    # appended instance id is freshly allocated, so no cached tag can
-    # match it — and an EXIT only invalidates entries whose cached prefix
-    # overshoots the popped tag path. _rmc[0] tracks the cache's prefix
-    # high-water mark, so loop-level exits (the hot case: every cached
-    # prefix stops at or above the loop tag) skip the clear entirely.
-    def _gen_region_enter(self, lines, static_id) -> None:
-        maxd = self._max_depth
-        lines += [
-            f"_tk = len(stack) < {maxd}",
-            f"_rg = _ActiveRegion({static_id}, prof._next_instance, _tk)",
-            "prof._next_instance += 1",
-            "stack.append(_rg)",
-            "_tg = state[0] + (_rg.instance,)",
-            "state[0] = _tg",
-            "prof.tags = _tg",
-            "_td = len(stack)",
-            f"if _td > {maxd}:",
-            f"    _td = {maxd}",
-            "state[1] = _td",
-            "prof.tracked_depth = _td",
-            "if _tk:",
-            "    cps.append(0)",
-        ]
+    @staticmethod
+    def _resolve_lines(lines, e: str, tm: str, vl: str) -> None:
+        """A statement-level :func:`~repro.kremlib.shadow.resolve_entry` of
+        entry local ``e`` into ``(tm, vl)``, clamped to the tracked depth.
 
-    def _gen_region_exit(self, lines, static_id) -> None:
-        maxd = self._max_depth
+        Entries stamped with the current tag tuple skip the prefix walk;
+        other tags hit the common-prefix cache ``_rcache`` inline and fall
+        back to ``_rmiss`` (runtime), which walks the prefix, caches it
+        and keeps the cache's high-water mark (see the region hooks in
+        :mod:`repro.interp.runtime`)."""
         lines += [
-            "if not stack:",
-            "    raise ProfilerError(",
-            f"        'region_exit #{static_id} with empty region stack')",
-            "_rg = stack.pop()",
-            f"if _rg.static_id != {static_id}:",
-            "    raise ProfilerError(",
-            f"        'unbalanced regions: exiting #{static_id} but '",
-            "        '#%d is on top' % _rg.static_id)",
-            "_tg = state[0][:-1]",
-            "state[0] = _tg",
-            "prof.tags = _tg",
-            "_td = len(stack)",
-            f"if _td > {maxd}:",
-            f"    _td = {maxd}",
-            "state[1] = _td",
-            "prof.tracked_depth = _td",
-            "if _rg.tracked:",
-            "    _rg.cp = cps.pop()",
-            "_cp = _rg.cp",
-            "if not _rg.tracked or _cp > _rg.work:",
-            "    _cp = _rg.work",
-            "_c = _intern(_rg.static_id, _rg.work, _cp,",
-            "             tuple(sorted(_rg.children.items())))",
-            "if stack:",
-            "    _pr = stack[-1]",
-            "    _pr.work += _rg.work",
-            "    _pr.children[_c] = _pr.children.get(_c, 0) + 1",
-            "else:",
-            "    prof.root_char = _c",
-            "if _rmc[0] > len(_tg):",
-            "    _rcache.clear()",
-            "    _rmc[0] = 0",
+            f"if {e} is not None:",
+            f"    {tm}, _tg = {e}",
+            "    if _tg is _cu:",
+            f"        {vl} = len({tm})",
+            "    else:",
+            f"        {vl} = _rcache.get(_tg, -1)",
+            f"        if {vl} < 0:",
+            f"            {vl} = _rmiss(_tg, _cu)",
+            f"        if len({tm}) < {vl}:",
+            f"            {vl} = len({tm})",
+            f"    if {vl} > _dp:",
+            f"        {vl} = _dp",
         ]
 
     def _materialize(self, lines, ts: _SymTS) -> str:
@@ -1605,11 +1520,11 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         cls = type(instr)
         if cls is RegionEnter:
             self._mid_flush(frag, instr)
-            self._gen_region_enter(frag, instr.region_id)
+            frag.append(f"_renter({instr.region_id})")
             return
         if cls is RegionExit:
             self._mid_flush(frag, instr)
-            self._gen_region_exit(frag, instr.region_id)
+            frag.append(f"_rexit({instr.region_id})")
             return
         if cls is Call and not instr.is_builtin:
             self._gen_user_call_fused(frag, instr)
@@ -1947,14 +1862,12 @@ class _FusedModuleEmitter(_ModuleEmitter):
         self,
         program,
         budget,
-        max_depth: int,
         metrics_on: bool,
         force_fallback: bool = False,
         vector_threshold: int = 0,
     ):
         super().__init__(program, budget, force_fallback)
         self.instrumentation = program.instrumentation.functions
-        self.max_depth = max_depth
         self.metrics_on = metrics_on
         self.vector_threshold = vector_threshold
 
@@ -2008,7 +1921,6 @@ def build_unit(
     program,
     flavor: str,
     budget=None,
-    max_depth: int | None = None,
     metrics_on: bool = False,
     vector_threshold: int | None = None,
 ) -> CodegenUnit:
@@ -2022,7 +1934,6 @@ def build_unit(
             emitter = _FusedModuleEmitter(
                 program,
                 budget,
-                max_depth,
                 metrics_on,
                 force_fallback=force,
                 vector_threshold=vector_threshold,
@@ -2039,6 +1950,16 @@ def build_unit(
             # whole module with the dispatch-loop fallback.
             last_error = error
             continue
+        if metrics_enabled():
+            # Silent slow paths, metered per build (disk-cache hits build
+            # nothing): functions left on the dispatch loop, and whole-
+            # module retries with forced dispatch.
+            registry = get_metrics()
+            fallbacks = len(emitter.fallback_functions)
+            if fallbacks:
+                registry.counter("codegen.fallback_functions").inc(fallbacks)
+            if force:
+                registry.counter("codegen.forced_dispatch_retries").inc()
         return CodegenUnit(
             flavor=flavor,
             source=source,
@@ -2056,7 +1977,7 @@ def codegen_unit(
     program,
     flavor: str,
     budget=None,
-    max_depth: int | None = None,
+    max_depth=None,
     metrics_on: bool = False,
 ) -> CodegenUnit:
     """Cached :func:`build_unit`, keyed on the program object.
@@ -2068,28 +1989,26 @@ def codegen_unit(
     (:mod:`repro.interp.diskcache`) before building, so warm restarts —
     the service workload — perform zero codegen; freshly built units are
     written back best-effort.
+
+    ``max_depth`` is ignored: units do not depend on the profiler's depth
+    window (the region hooks read it at run time), so one unit serves
+    every window. The parameter stays only so positional callers written
+    against the older signature keep working.
     """
     from repro.interp import diskcache
-    from repro.obs.metrics import get_metrics, metrics_enabled
 
     vthr = shadow.vector_threshold()
-    key = (flavor, budget, max_depth, metrics_on, vthr)
+    key = (flavor, budget, metrics_on, vthr)
     cache = program.__dict__.setdefault("_codegen_units", {})
     unit = cache.get(key)
     if unit is not None:
         if metrics_enabled():
             get_metrics().counter("codegen.unit_cache_hits").cell[0] += 1
         return unit
-    unit = diskcache.load_unit(
-        program, flavor, budget, max_depth, metrics_on, vthr
-    )
+    unit = diskcache.load_unit(program, flavor, budget, metrics_on, vthr)
     if unit is None:
-        unit = build_unit(
-            program, flavor, budget, max_depth, metrics_on, vthr
-        )
-        diskcache.store_unit(
-            program, flavor, budget, max_depth, metrics_on, vthr, unit
-        )
+        unit = build_unit(program, flavor, budget, metrics_on, vthr)
+        diskcache.store_unit(program, flavor, budget, metrics_on, vthr, unit)
     cache[key] = unit
     if metrics_enabled():
         get_metrics().counter("codegen.unit_cache_misses").cell[0] += 1

@@ -12,7 +12,8 @@ everything that can change the generated code:
   enough, because callers may mutate a program's IR in place (the
   failure-injection tests corrupt region markers) and the cache must
   key on exactly what executes,
-* the engine flavor, instruction budget, depth limit, and metrics gate,
+* the engine flavor, instruction budget and metrics gate (not the
+  profiler's depth window: units read it at run time),
 * the vectorization threshold (it changes the emitted fold statements),
 * the cost model (instruction costs are baked into the source as
   literals),
@@ -173,7 +174,6 @@ def unit_key(
     program,
     flavor: str,
     budget,
-    max_depth,
     metrics_on: bool,
     vector_threshold: int,
 ) -> str:
@@ -194,7 +194,6 @@ def unit_key(
             "filename": program.filename,
             "flavor": flavor,
             "budget": budget,
-            "max_depth": max_depth,
             "metrics": bool(metrics_on),
             "vector_threshold": vector_threshold,
             "cost_table": sorted(cost_model.table.items()),
@@ -280,7 +279,6 @@ def load_unit(
     program,
     flavor: str,
     budget,
-    max_depth,
     metrics_on: bool,
     vector_threshold: int,
 ):
@@ -294,9 +292,7 @@ def load_unit(
     if directory is None:
         return None
     started = time.perf_counter()
-    key = unit_key(
-        program, flavor, budget, max_depth, metrics_on, vector_threshold
-    )
+    key = unit_key(program, flavor, budget, metrics_on, vector_threshold)
     path = _entry_path(directory, key)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -345,7 +341,6 @@ def store_unit(
     program,
     flavor: str,
     budget,
-    max_depth,
     metrics_on: bool,
     vector_threshold: int,
     unit,
@@ -358,9 +353,7 @@ def store_unit(
     recipe = _env_recipe(unit.program_env)
     if recipe is None:
         return False
-    key = unit_key(
-        program, flavor, budget, max_depth, metrics_on, vector_threshold
-    )
+    key = unit_key(program, flavor, budget, metrics_on, vector_threshold)
     payload = {
         "format": CACHE_FORMAT,
         "version": ENTRY_VERSION,
@@ -368,7 +361,6 @@ def store_unit(
         "key": key,
         "flavor": flavor,
         "budget": budget,
-        "max_depth": max_depth,
         "metrics": bool(metrics_on),
         "vector_threshold": vector_threshold,
         "filename": program.filename,

@@ -4,9 +4,10 @@
 cached :class:`~repro.interp.codegen.CodegenUnit`: it builds the exec
 environment (instance-scoped names like ``cells``/``interp``/``counts``
 and the ``_go_*``/``_ga_*``/``_gid_*`` global-array bindings; profiler
-state mirrors for the fused flavor), executes the unit's code object to
-materialize the generated functions, and drives entry-point calls with
-the same run lifecycle as the tree engine.
+state mirrors and the helpers closed over them for the fused flavor),
+executes the unit's code object to materialize the generated functions,
+and drives entry-point calls with the same run lifecycle as the tree
+engine.
 
 Code objects are compiled once per program (cached on the program by
 :func:`~repro.interp.codegen.codegen_unit`); per-interpreter preparation
@@ -20,6 +21,9 @@ import time
 from repro.interp.codegen import codegen_unit
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import ArrayStorage, RunResult
+from repro.kremlib.profiler import ProfilerError, _ActiveRegion
+from repro.kremlib.shadow import fold_max_into, resolve_entry
+from repro.obs.metrics import get_metrics, metrics_enabled
 
 
 def _slow_index(index, size: int, span) -> int:
@@ -50,6 +54,106 @@ def _compute_ts(inputs, cost: int, depth: int) -> list:
                 ts[d] = t
             d += 1
     return ts
+
+
+def _resolve_miss(rcache: dict, rmc: list):
+    """Build ``_rmiss(tags, current)``: the common-prefix length of two
+    region tag tuples, for the fused entry resolution's cache misses.
+
+    Stores the result in ``rcache`` (the engine's ``_rcache``) and raises
+    the high-water mark ``rmc[0]`` that the region-exit hook checks."""
+
+    def _rmiss(tags, current):
+        limit = len(tags)
+        if len(current) < limit:
+            limit = len(current)
+        k = 0
+        while k < limit and tags[k] == current[k]:
+            k += 1
+        rcache[tags] = k
+        if k > rmc[0]:
+            rmc[0] = k
+        return k
+
+    return _rmiss
+
+
+def _region_hooks(prof, state: list, cps: list, rcache: dict, rmc: list):
+    """Build ``(_renter, _rexit)``: KremlinProfiler's region events over
+    the fused engine's mirrors, called once per region marker.
+
+    Both keep ``state`` (``[tags, tracked_depth]``) and the profiler's
+    own fields in step; ``cps`` holds the critical-path maxima of the
+    open tracked regions.
+
+    Resolution-cache upkeep: a region ENTER preserves every cached
+    common-prefix length exactly (the appended instance id is freshly
+    allocated, so no cached tag can match it), and an EXIT only
+    invalidates entries whose cached prefix overshoots the popped tag
+    path. ``rmc[0]`` tracks the cache's prefix high-water mark, so
+    loop-level exits (the hot case: every cached prefix stops at or above
+    the loop tag) skip the clear entirely."""
+    stack = prof.stack
+    max_depth = prof.max_depth
+    intern = prof.dictionary.intern
+
+    def _renter(static_id):
+        tracked = len(stack) < max_depth
+        region = _ActiveRegion(static_id, prof._next_instance, tracked)
+        prof._next_instance += 1
+        stack.append(region)
+        tags = state[0] + (region.instance,)
+        state[0] = tags
+        prof.tags = tags
+        depth = len(stack)
+        if depth > max_depth:
+            depth = max_depth
+        state[1] = depth
+        prof.tracked_depth = depth
+        if tracked:
+            cps.append(0)
+
+    def _rexit(static_id):
+        if not stack:
+            raise ProfilerError(
+                f"region_exit #{static_id} with empty region stack"
+            )
+        region = stack.pop()
+        if region.static_id != static_id:
+            raise ProfilerError(
+                f"unbalanced regions: exiting #{static_id} but "
+                f"#{region.static_id} is on top"
+            )
+        tags = state[0][:-1]
+        state[0] = tags
+        prof.tags = tags
+        depth = len(stack)
+        if depth > max_depth:
+            depth = max_depth
+        state[1] = depth
+        prof.tracked_depth = depth
+        if region.tracked:
+            region.cp = cps.pop()
+        cp = region.cp
+        if not region.tracked or cp > region.work:
+            cp = region.work
+        char = intern(
+            region.static_id,
+            region.work,
+            cp,
+            tuple(sorted(region.children.items())),
+        )
+        if stack:
+            parent = stack[-1]
+            parent.work += region.work
+            parent.children[char] = parent.children.get(char, 0) + 1
+        else:
+            prof.root_char = char
+        if rmc[0] > len(tags):
+            rcache.clear()
+            rmc[0] = 0
+
+    return _renter, _rexit
 
 
 class CompiledEngine:
@@ -116,33 +220,30 @@ class CompiledEngine:
             )
         else:
             # The Interpreter only routes KremlinProfiler observers here.
-            from repro.kremlib.profiler import ProfilerError, _ActiveRegion
-            from repro.kremlib.shadow import fold_max_into, resolve_entry
-            from repro.obs.metrics import get_metrics, metrics_enabled
-
             metrics_on = metrics_enabled()
             unit = codegen_unit(
                 interp.program,
                 "fused",
                 interp.max_instructions,
-                observer.max_depth,
-                metrics_on,
+                metrics_on=metrics_on,
             )
             self._state = [observer.tags, observer.tracked_depth]
             self._cps = []
             self._rcache = {}
+            renter, rexit = _region_hooks(
+                observer, self._state, self._cps, self._rcache, self._rmc
+            )
             env.update(
                 {
                     "state": self._state,
                     "cps": self._cps,
                     "_rcache": self._rcache,
-                    "_rmc": self._rmc,
                     "stack": observer.stack,
                     "mem_shadow": observer.mem_shadow,
                     "prof": observer,
-                    "_ActiveRegion": _ActiveRegion,
-                    "ProfilerError": ProfilerError,
-                    "_intern": observer.dictionary.intern,
+                    "_renter": renter,
+                    "_rexit": rexit,
+                    "_rmiss": _resolve_miss(self._rcache, self._rmc),
                     "_resolve": resolve_entry,
                     "_cts": _compute_ts,
                     "_vmax": fold_max_into,

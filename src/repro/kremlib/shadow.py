@@ -17,10 +17,10 @@ This module also hosts the **vectorized fold kernels**: when a
 straight-line segment of the compiled engine's generated code carries at
 least :func:`vector_threshold` full-depth timestamp vectors, the
 region-stack cp fold becomes a single numpy reduction instead of N Python
-loops (:func:`fold_max_into`); :func:`merged_event` is the same kernel
-for the per-depth availability merge (``max`` over event vectors + cost). The kernels are value-exact — int64 max/add on Python ints, with
-results converted back to Python ints — so serialized profiles stay
-byte-identical to the scalar forms (the differential suite enforces it).
+loops (:func:`fold_max_into`). The kernel is value-exact — int64 max on
+Python ints, with results converted back to Python ints — so serialized
+profiles stay byte-identical to the scalar form (the differential suite
+enforces it).
 Below the threshold the emitters keep the scalar statements, which beat
 numpy's per-call overhead on short segments.
 """
@@ -95,19 +95,6 @@ def fold_max_into(cps, vectors, dp) -> None:
             if t > cps[k]:
                 cps[k] = t
             k += 1
-
-
-def merged_event(vectors, cost):
-    """Availability merge: pointwise ``max`` over full-depth vectors plus
-    the event cost, as a list of Python ints."""
-    if _np is not None:
-        try:
-            return (
-                _np.array(vectors, dtype=_np.int64).max(axis=0) + cost
-            ).tolist()
-        except (OverflowError, ValueError):
-            pass
-    return [max(z) + cost for z in zip(*vectors)]
 
 
 def make_cell_table(count: int) -> list:

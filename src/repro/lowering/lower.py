@@ -603,11 +603,39 @@ class Lowerer:
         raise SemanticError(f"cannot lower expression {type(expr).__name__}", expr.span)
 
     def _lower_binary(self, expr: BinaryExpr) -> Value:
-        if expr.op in ("&&", "||"):
-            return self._lower_short_circuit(expr)
+        # Walk the left spine iteratively: ``1 + 1 + ... + 1`` parses
+        # left-deep, and recursing per term would exhaust Python's stack
+        # on long expressions. Each link does its pre-operand work on the
+        # way down (short-circuit links allocate their register and blocks
+        # before lowering their left operand) and the rest on the way up,
+        # so the emitted IR is exactly that of the recursive form.
+        chain = []
+        node: Expr = expr
+        while isinstance(node, BinaryExpr):
+            shape = None
+            if node.op in ("&&", "||"):
+                shape = (
+                    self.function.new_register(INT, name="sc"),
+                    self._new_block("sc.rhs"),
+                    self._new_block("sc.short"),
+                    self._new_block("sc.join"),
+                )
+            chain.append((node, shape))
+            node = node.left
+        value = self._lower_expr(node)
+        for link, shape in reversed(chain):
+            lhs = self._require_scalar(value, link.left.span)
+            if shape is None:
+                rhs = self._require_scalar(
+                    self._lower_expr(link.right), link.right.span
+                )
+                value = self._binop(link, lhs, rhs)
+            else:
+                value = self._short_circuit(link, lhs, *shape)
+        return value
+
+    def _binop(self, expr: BinaryExpr, lhs: Value, rhs: Value) -> Value:
         builder = self.builder
-        lhs = self._require_scalar(self._lower_expr(expr.left), expr.left.span)
-        rhs = self._require_scalar(self._lower_expr(expr.right), expr.right.span)
         if expr.op in ("%", "&", "|", "^", "<<", ">>"):
             if lhs.type != INT or rhs.type != INT:
                 raise SemanticError(
@@ -617,14 +645,16 @@ class Lowerer:
         lhs, rhs = self._unify_arith(lhs, rhs, expr.span)
         return builder.binop(expr.op, lhs, rhs, expr.span)
 
-    def _lower_short_circuit(self, expr: BinaryExpr) -> Value:
+    def _short_circuit(
+        self,
+        expr: BinaryExpr,
+        lhs: Value,
+        result: Register,
+        rhs_block: BasicBlock,
+        short_block: BasicBlock,
+        join_block: BasicBlock,
+    ) -> Value:
         builder = self.builder
-        result = self.function.new_register(INT, name="sc")
-        rhs_block = self._new_block("sc.rhs")
-        short_block = self._new_block("sc.short")
-        join_block = self._new_block("sc.join")
-
-        lhs = self._require_scalar(self._lower_expr(expr.left), expr.left.span)
         if expr.op == "&&":
             builder.branch(lhs, rhs_block, short_block, expr.span)
             short_value = Constant(0, INT)
@@ -863,31 +893,43 @@ def _const_fold(expr: Expr) -> int | float | None:
             return 0 if inner else 1
         return None
     if isinstance(expr, BinaryExpr):
-        left = _const_fold(expr.left)
-        right = _const_fold(expr.right)
-        if left is None or right is None:
-            return None
-        try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                if isinstance(left, int) and isinstance(right, int):
-                    return int(left / right) if right else None
-                return left / right if right else None
-            if expr.op == "%":
-                return int(left) % int(right) if right else None
-        except (ZeroDivisionError, ValueError):
-            return None
-        return None
+        # Left-deep chains fold iteratively (see Lowerer._lower_binary).
+        chain = []
+        while isinstance(expr, BinaryExpr):
+            chain.append(expr)
+            expr = expr.left
+        value = _const_fold(expr)
+        for link in reversed(chain):
+            if value is None:
+                return None
+            value = _fold_binary(link.op, value, _const_fold(link.right))
+        return value
     if isinstance(expr, CastExpr):
         inner = _const_fold(expr.operand)
         if inner is None:
             return None
         return int(inner) if expr.target == "int" else float(inner)
+    return None
+
+
+def _fold_binary(op: str, left, right) -> int | float | None:
+    if right is None:
+        return None
+    try:
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            if isinstance(left, int) and isinstance(right, int):
+                return int(left / right) if right else None
+            return left / right if right else None
+        if op == "%":
+            return int(left) % int(right) if right else None
+    except (ZeroDivisionError, ValueError):
+        return None
     return None
 
 

@@ -288,3 +288,71 @@ class TestRegionMarkers:
                 if len(exits) >= 5:
                     return
         pytest.fail("no return block exits all five active regions")
+
+
+class TestLongExpressions:
+    """Long left-deep chains lower iteratively: the whole pipeline ends in
+    a result or a located diagnostic, never a RecursionError."""
+
+    @pytest.mark.parametrize("terms", [800, 5000])
+    def test_long_sum_analyzes(self, terms):
+        from repro.api import KremlinSession
+        from repro.frontend.errors import ParseError
+
+        source = (
+            "int main() { int x = " + " + ".join(["1"] * terms)
+            + "; return x; }"
+        )
+        try:
+            report = KremlinSession().analyze(source)
+        except ParseError as error:
+            assert error.span is not None
+        else:
+            assert report.run.value == terms
+
+    def test_long_global_initializer_folds(self):
+        module = lower(
+            "int g = " + " - ".join(["3"] * 5000) + ";"
+            " int main() { return g; }"
+        )
+        assert module.globals["g"].init == 3 - 3 * 4999
+
+    def test_mixed_chain_keeps_recursive_ir(self):
+        """Short-circuit links allocate their register and blocks before
+        their left operand is lowered, outermost first, exactly as the
+        recursive lowering did."""
+        from repro.ir.printer import print_module
+
+        module = lower(
+            "int main() { int a = 2; return a * a + a && a || a - 1; }"
+        )
+        assert print_module(module).splitlines()[2:] == [
+            "func main() -> int {",
+            "entry0:",
+            "  region_enter #0",
+            "  %0.a = copy 2",
+            "  %3 = * %0.a, %0.a",
+            "  %4 = + %3, %0.a",
+            "  branch %4 ? sc.rhs4 : sc.short5",
+            "sc.rhs1:",
+            "  %6 = - %0.a, 1",
+            "  %7 = != %6, 0",
+            "  %1.sc = copy %7",
+            "  jump sc.join3",
+            "sc.short2:",
+            "  %1.sc = copy 1",
+            "  jump sc.join3",
+            "sc.join3:",
+            "  region_exit #0",
+            "  ret %1.sc",
+            "sc.rhs4:",
+            "  %5 = != %0.a, 0",
+            "  %2.sc = copy %5",
+            "  jump sc.join6",
+            "sc.short5:",
+            "  %2.sc = copy 0",
+            "  jump sc.join6",
+            "sc.join6:",
+            "  branch %2.sc ? sc.short2 : sc.rhs1",
+            "}",
+        ]
