@@ -55,6 +55,8 @@ EXPECTED_COUNTERS = {
     "session.analyses",
     "shadow.cell_writes",
     "shadow.frames",
+    "shadow.rcache_drops",
+    "shadow.rcache_misses",
 }
 
 

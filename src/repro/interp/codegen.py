@@ -48,12 +48,13 @@ to by reserved names (``_go_{name}``/``_ga_{name}``/``_gid_{name}``,
 :class:`repro.interp.runtime.CompiledEngine` at prepare time. Program-
 scoped objects (spans, string constants, builtin impls) live in the unit's
 ``program_env``. The fused flavor's per-site boilerplate — region
-enter/exit and the resolution-cache miss — is outlined into runtime
-helpers (``_renter``/``_rexit``/``_rmiss``, :mod:`repro.interp.runtime`),
+enter/exit, the resolution-cache miss and the per-depth timestamp folds —
+is outlined into runtime helpers (``_renter``/``_rexit``/``_rmiss`` and
+``_fpre``/``_fall``/``_fcon``/``_fseed``, :mod:`repro.interp.runtime`),
 which also keeps the profiler's depth window out of the source. Units are
-therefore cached per ``CompiledProgram`` keyed by flavor/budget/metrics/
-vector threshold — code that mutates the IR must recompile from a fresh
-program, exactly like re-running ``kremlin_cc``.
+therefore cached per ``CompiledProgram`` keyed by flavor/budget/metrics —
+code that mutates the IR must recompile from a fresh program, exactly
+like re-running ``kremlin_cc``.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.types import FLOAT, INT, ArrayType
 from repro.ir.values import Constant, GlobalRef, Register, StringConst
-from repro.kremlib import shadow
 from repro.obs.metrics import get_metrics, metrics_enabled
 
 _PAD = "    "
@@ -373,23 +373,41 @@ class _FunctionEmitter:
     # -- structured emission ----------------------------------------------
 
     def _emit_into(self, out, block, stop, frame, indent) -> None:
-        if indent > _MAX_INDENT or self.emissions > self.max_emissions:
-            raise _Unstructured()
-        self.emissions += 1
-        loop = self.forest.loop_of(block)
-        current = frame.loop if frame is not None else None
-        if loop is not current:
-            if (
-                loop is not None
-                and loop.header is block
-                and loop.parent is current
-            ):
-                self._emit_loop(out, loop, stop, frame, indent)
-                return
-            raise _Unstructured()  # irreducible entry / level skip
-        self._emit_block(out, block, stop, frame, indent)
+        """Emit ``block`` and every block it continues into at the same
+        indent: a jump target, a branch's inline join, a loop's single
+        exit. The continuation is a loop, not a call, so a long
+        ``&&``/``||`` chain or statement sequence costs no Python stack per
+        block. The chain's blocks stay in ``emitting`` until it ends, so a
+        jump back into it is still caught as an uncovered cycle."""
+        chain: list[int] = []
+        try:
+            while block is not None:
+                if (
+                    indent > _MAX_INDENT
+                    or self.emissions > self.max_emissions
+                ):
+                    raise _Unstructured()
+                self.emissions += 1
+                loop = self.forest.loop_of(block)
+                current = frame.loop if frame is not None else None
+                if loop is current:
+                    chain.append(id(block))
+                    self.emitting.add(id(block))
+                    block = self._emit_block(out, block, stop, frame, indent)
+                elif (
+                    loop is not None
+                    and loop.header is block
+                    and loop.parent is current
+                ):
+                    block = self._emit_loop(out, loop, stop, frame, indent)
+                else:
+                    raise _Unstructured()  # irreducible entry / level skip
+        finally:
+            self.emitting.difference_update(chain)
 
-    def _emit_loop(self, out, loop, stop, frame, indent) -> None:
+    def _emit_loop(self, out, loop, stop, frame, indent):
+        """Emit ``loop``; returns its single exit when that exit still
+        needs emitting at this indent (see :meth:`_tail_goto`)."""
         var = f"_x{self.next_exit_var}"
         self.next_exit_var += 1
         nf = _LoopFrame(loop, var, frame)
@@ -414,75 +432,78 @@ class _FunctionEmitter:
         out.append(pad + "while True:")
         out += body
         if not exits:
-            return  # genuinely infinite loop: nothing ever follows
+            return None  # genuinely infinite loop: nothing ever follows
         if len(exits) == 1:
-            self._goto(out, exits[0], stop, frame, indent)
-            return
+            return self._tail_goto(out, exits[0], stop, frame, indent)
         for k, target in enumerate(exits):
             sub: list[str] = []
             self._goto(sub, target, stop, frame, indent + 1)
             keyword = "if" if k == 0 else "elif"
             out.append(pad + f"{keyword} {var} == {k}:")
             out += sub if sub else [pad + _PAD + "pass"]
+        return None
 
     def _goto(self, out, target, stop, frame, indent) -> None:
+        target = self._tail_goto(out, target, stop, frame, indent)
+        if target is not None:
+            self._emit_into(out, target, stop, frame, indent)
+
+    def _tail_goto(self, out, target, stop, frame, indent):
+        """Emit the control transfer to ``target``; returns ``target``
+        when its code itself still has to follow at this indent, else
+        None."""
         pad = _PAD * indent
         if target is stop:
             # Falls through to wherever the join is emitted; the join is
             # shared between arms, so deferred counts settle here.
             self._flush_counts(out, pad)
-            return
+            return None
         if frame is not None:
             if target is frame.loop.header:
                 self._flush_counts(out, pad)
                 out.append(pad + "continue")
-                return
+                return None
             if target not in frame.loop.blocks:
                 self._flush_counts(out, pad)
                 k = frame.exit_index(target)
                 out.append(pad + f"{frame.var} = {k}")
                 out.append(pad + "break")
-                return
+                return None
         if id(target) in self.emitting:
             raise _Unstructured()  # cycle the loop forest didn't cover
-        self._emit_into(out, target, stop, frame, indent)
+        return target
 
-    def _emit_block(self, out, block, stop, frame, indent) -> None:
-        block_id = id(block)
-        self.emitting.add(block_id)
-        try:
-            frag: list[str] = []
-            self._gen_head(frag, block)
-            self._gen_instructions(frag, block)
-            pad = _PAD * indent
-            out += [pad + line for line in frag]
-            self._gen_terminator(out, block, stop, frame, indent)
-        finally:
-            self.emitting.discard(block_id)
+    def _emit_block(self, out, block, stop, frame, indent):
+        """Emit ``block``; returns the block to continue with at this
+        indent, or None."""
+        frag: list[str] = []
+        self._gen_head(frag, block)
+        self._gen_instructions(frag, block)
+        pad = _PAD * indent
+        out += [pad + line for line in frag]
+        return self._gen_terminator(out, block, stop, frame, indent)
 
-    def _gen_terminator(self, out, block, stop, frame, indent) -> None:
+    def _gen_terminator(self, out, block, stop, frame, indent):
         term = block.terminator
         retired, cost = _block_totals(block)
         pad = _PAD * indent
         if type(term) is Ret:
             frag = self._ret_block_lines(term, retired, cost)
             out += [pad + line for line in frag]
-            return
+            return None
         frag = []
         self._preterm(frag, block, term)
         self._counts_nonret(frag, retired, cost)
         out += [pad + line for line in frag]
         if type(term) is Jump:
-            self._goto(out, term.target, stop, frame, indent)
-            return
+            return self._tail_goto(out, term.target, stop, frame, indent)
         if type(term) is Branch:
-            self._emit_branch(out, block, term, stop, frame, indent)
-            return
+            return self._emit_branch(out, block, term, stop, frame, indent)
         raise InterpreterError(
             f"unknown terminator {type(term).__name__}", term.span
         )
 
-    def _emit_branch(self, out, block, term, stop, frame, indent) -> None:
+    def _emit_branch(self, out, block, term, stop, frame, indent):
         cond = self._cond_src(term.cond)
         join = self.ipdom.get(block)
         inline = join is not None and join is not stop
@@ -511,7 +532,8 @@ class _FunctionEmitter:
             out += else_sub
         # both arms empty: degenerate branch straight to the join
         if inline:
-            self._goto(out, join, stop, frame, indent)
+            return self._tail_goto(out, join, stop, frame, indent)
+        return None
 
     # -- dispatch-loop fallback --------------------------------------------
 
@@ -1147,7 +1169,6 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         super().__init__(m, function)
         self.s_used: set[int] = set()
         self._metrics_on = m.metrics_on
-        self._vthr = m.vector_threshold
         self.info = m.instrumentation.get(function.name)
         self.live_out = _live_out_sets(function)
         self._seg_reset()
@@ -1334,8 +1355,8 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         tv = self._ts_name()
         parts = ts.parts
         # Prefer seeding from a full-depth list source whose own floor
-        # already covers the const pad: a listcomp (or an alias) beats
-        # the [const]*depth seed plus an elementwise fold loop.
+        # already covers the const pad: an offset copy (or an alias) beats
+        # the [const]*depth seed plus an elementwise fold.
         base = None
         base_floor = -1
         for src, off in parts.items():
@@ -1347,7 +1368,9 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             off = parts[base]
             rest = [(s, o) for s, o in parts.items() if s is not base]
             if off:
-                lines.append(f"{tv} = [_t + {off} for _t in {base.tm}]")
+                lines.append(
+                    f"{tv} = _fseed({base.tm}, _dp, {off}, 0, _dp)"
+                )
             elif rest:
                 lines.append(f"{tv} = {base.tm}[:]")
             else:
@@ -1355,7 +1378,7 @@ class _FusedFunctionEmitter(_FunctionEmitter):
                 lines.append(f"{tv} = {base.tm}")
         else:
             # A guarded source whose offset reaches the const floor can
-            # still seed its valid prefix at C speed (timestamps are
+            # still seed its valid prefix directly (timestamps are
             # non-negative, so _t + off >= off >= const there) with the
             # const pad covering the tail.
             gbase = None
@@ -1365,12 +1388,15 @@ class _FusedFunctionEmitter(_FunctionEmitter):
                     break
             if gbase is not None:
                 off = parts[gbase]
-                term = f"_t + {off}" if off else "_t"
+                tm, vl = gbase.tm, gbase.vl
+                if off:
+                    seed = f"_fseed({tm}, {vl}, {off}, {ts.const}, _dp)"
+                else:
+                    seed = f"{tm}[:{vl}] + [{ts.const}] * (_dp - {vl})"
                 rest = [(s, o) for s, o in parts.items() if s is not gbase]
                 lines += [
                     f"if {gbase.guard}:",
-                    f"    {tv} = [{term} for _t in {gbase.tm}[:{gbase.vl}]]"
-                    f" + [{ts.const}] * (_dp - {gbase.vl})",
+                    f"    {tv} = {seed}",
                     "else:",
                     f"    {tv} = [{ts.const}] * _dp",
                 ]
@@ -1383,17 +1409,13 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         return tv
 
     def _fold_source(self, lines, src, off, target, pad) -> None:
-        term = f"_t + {off}" if off else "_t"
+        """Fold ``src + off`` into ``target`` in place through the
+        runtime fold helpers (``_fall`` for a full-depth list source,
+        ``_fpre`` over a resolved entry's valid prefix)."""
         if src.kind == "list":
-            lines.append(
-                pad + f"{target}[:] = [_c if _c > {term} else {term} "
-                f"for _c, _t in zip({target}, {src.tm})]"
-            )
+            lines.append(pad + f"_fall({target}, {src.tm}, {off})")
             return
-        stmt = (
-            f"{target}[:{src.vl}] = [_c if _c > {term} else {term} "
-            f"for _c, _t in zip({target}, {src.tm}[:{src.vl}])]"
-        )
+        stmt = f"_fpre({target}, {src.tm}, {src.vl}, {off})"
         if src.guard is not None:
             lines.append(pad + f"if {src.guard}:")
             lines.append(pad + _PAD + stmt)
@@ -1423,7 +1445,6 @@ class _FusedFunctionEmitter(_FunctionEmitter):
             conc_cover: dict[_SymSource, int] = {}
             conc_const = 0
             folded = set()
-            conc_names: list[str] = []
             conc_sources = []
             for ts in maximal:
                 if ts.conc is None:
@@ -1431,23 +1452,14 @@ class _FusedFunctionEmitter(_FunctionEmitter):
                 if ts.conc in folded:
                     continue
                 folded.add(ts.conc)
-                conc_names.append(ts.conc)
                 conc_sources.append(ts.as_source())
                 for src, off in ts.cover.items():
                     if off > conc_cover.get(src, -1):
                         conc_cover[src] = off
                 if ts.const > conc_const:
                     conc_const = ts.const
-            if self._vthr and len(conc_names) >= self._vthr:
-                # Wide flush: one numpy reduction over the materialized
-                # full-depth event vectors (value-exact; scalar form
-                # below the threshold).
-                lines.append(
-                    f"    _vmax(cps, ({', '.join(conc_names)},), _dp)"
-                )
-            else:
-                for src in conc_sources:
-                    self._fold_source(lines, src, 0, "cps", _PAD)
+            for src in conc_sources:
+                self._fold_source(lines, src, 0, "cps", _PAD)
             fold_parts: dict[_SymSource, int] = {}
             fold_const = 0
             for ts in maximal:
@@ -1463,10 +1475,7 @@ class _FusedFunctionEmitter(_FunctionEmitter):
                     continue  # already folded through a materialized event
                 self._fold_source(lines, src, off, "cps", _PAD)
             if fold_const > conc_const:
-                lines.append(
-                    f"    cps[:_dp] = [_c if _c > {fold_const} "
-                    f"else {fold_const} for _c in cps[:_dp]]"
-                )
+                lines.append(f"    _fcon(cps, {fold_const}, _dp)")
         self._seg_reset()
 
     def _skip_instr(self, instr) -> bool:
@@ -1746,11 +1755,7 @@ class _FusedFunctionEmitter(_FunctionEmitter):
         frag += [
             "if stack:",
             f"    stack[-1].work += {cost}",
-            "    _k = 0",
-            "    for _t in _ts:",
-            "        if _t > cps[_k]:",
-            "            cps[_k] = _t",
-            "        _k += 1",
+            "    _fall(cps, _ts, 0)",
         ]
         value_args = "".join(f"{a}, " for a in args)
         shadow_args = "".join(f"{p}, " for p in ps_names)
@@ -1864,12 +1869,10 @@ class _FusedModuleEmitter(_ModuleEmitter):
         budget,
         metrics_on: bool,
         force_fallback: bool = False,
-        vector_threshold: int = 0,
     ):
         super().__init__(program, budget, force_fallback)
         self.instrumentation = program.instrumentation.functions
         self.metrics_on = metrics_on
-        self.vector_threshold = vector_threshold
 
     def _new_function_emitter(self, function):
         return _FusedFunctionEmitter(self, function)
@@ -1922,21 +1925,14 @@ def build_unit(
     flavor: str,
     budget=None,
     metrics_on: bool = False,
-    vector_threshold: int | None = None,
 ) -> CodegenUnit:
     """Compile ``program`` to a :class:`CodegenUnit` (no caching)."""
     start = time.perf_counter()
-    if vector_threshold is None:
-        vector_threshold = shadow.vector_threshold()
     last_error: Exception | None = None
     for force in (False, True):
         if flavor == "fused":
             emitter = _FusedModuleEmitter(
-                program,
-                budget,
-                metrics_on,
-                force_fallback=force,
-                vector_threshold=vector_threshold,
+                program, budget, metrics_on, force_fallback=force
             )
         elif flavor == "plain":
             emitter = _ModuleEmitter(program, budget, force_fallback=force)
@@ -1997,18 +1993,17 @@ def codegen_unit(
     """
     from repro.interp import diskcache
 
-    vthr = shadow.vector_threshold()
-    key = (flavor, budget, metrics_on, vthr)
+    key = (flavor, budget, metrics_on)
     cache = program.__dict__.setdefault("_codegen_units", {})
     unit = cache.get(key)
     if unit is not None:
         if metrics_enabled():
             get_metrics().counter("codegen.unit_cache_hits").cell[0] += 1
         return unit
-    unit = diskcache.load_unit(program, flavor, budget, metrics_on, vthr)
+    unit = diskcache.load_unit(program, flavor, budget, metrics_on)
     if unit is None:
-        unit = build_unit(program, flavor, budget, metrics_on, vthr)
-        diskcache.store_unit(program, flavor, budget, metrics_on, vthr, unit)
+        unit = build_unit(program, flavor, budget, metrics_on)
+        diskcache.store_unit(program, flavor, budget, metrics_on, unit)
     cache[key] = unit
     if metrics_enabled():
         get_metrics().counter("codegen.unit_cache_misses").cell[0] += 1

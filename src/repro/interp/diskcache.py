@@ -175,7 +175,6 @@ def unit_key(
     flavor: str,
     budget,
     metrics_on: bool,
-    vector_threshold: int,
 ) -> str:
     """sha256 identity of one compiled unit (see module docstring)."""
     cost_model = program.instrumentation.cost_model
@@ -195,7 +194,6 @@ def unit_key(
             "flavor": flavor,
             "budget": budget,
             "metrics": bool(metrics_on),
-            "vector_threshold": vector_threshold,
             "cost_table": sorted(cost_model.table.items()),
             "float_extra": sorted(cost_model.float_extra.items()),
         },
@@ -280,7 +278,6 @@ def load_unit(
     flavor: str,
     budget,
     metrics_on: bool,
-    vector_threshold: int,
 ):
     """Load a cached unit, or None on a miss/invalid entry (never raises).
 
@@ -292,7 +289,7 @@ def load_unit(
     if directory is None:
         return None
     started = time.perf_counter()
-    key = unit_key(program, flavor, budget, metrics_on, vector_threshold)
+    key = unit_key(program, flavor, budget, metrics_on)
     path = _entry_path(directory, key)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -342,7 +339,6 @@ def store_unit(
     flavor: str,
     budget,
     metrics_on: bool,
-    vector_threshold: int,
     unit,
 ) -> bool:
     """Persist a freshly built unit; best-effort, never raises."""
@@ -353,7 +349,7 @@ def store_unit(
     recipe = _env_recipe(unit.program_env)
     if recipe is None:
         return False
-    key = unit_key(program, flavor, budget, metrics_on, vector_threshold)
+    key = unit_key(program, flavor, budget, metrics_on)
     payload = {
         "format": CACHE_FORMAT,
         "version": ENTRY_VERSION,
@@ -362,7 +358,6 @@ def store_unit(
         "flavor": flavor,
         "budget": budget,
         "metrics": bool(metrics_on),
-        "vector_threshold": vector_threshold,
         "filename": program.filename,
         "source": unit.source,
         "code": base64.b64encode(marshal.dumps(unit.code)).decode("ascii"),

@@ -22,7 +22,7 @@ from repro.interp.codegen import codegen_unit
 from repro.interp.errors import InterpreterError
 from repro.interp.interpreter import ArrayStorage, RunResult
 from repro.kremlib.profiler import ProfilerError, _ActiveRegion
-from repro.kremlib.shadow import fold_max_into, resolve_entry
+from repro.kremlib.shadow import resolve_entry
 from repro.obs.metrics import get_metrics, metrics_enabled
 
 
@@ -42,7 +42,8 @@ def _slow_index(index, size: int, span) -> int:
 def _compute_ts(inputs, cost: int, depth: int) -> list:
     """Reference merge: ts[d] = max over inputs of times[d] (0 beyond
     validity) + cost. Bound as ``_cts``; the fused call sites use it,
-    the per-segment generated code expands the same math inline."""
+    the per-segment generated code folds the same math through the
+    helpers below."""
     ts = [cost] * depth
     for times, valid in inputs:
         if valid > depth:
@@ -56,12 +57,63 @@ def _compute_ts(inputs, cost: int, depth: int) -> list:
     return ts
 
 
-def _resolve_miss(rcache: dict, rmc: list):
+def _fold_prefix(t, tm, vl, k) -> None:
+    """In-place ``t[d] = max(t[d], tm[d] + k)`` for ``d < vl``.
+
+    Bound as ``_fpre``: the fold of a resolved entry's valid prefix into a
+    timestamp vector or the region stack's ``cps``. ``vl`` never exceeds
+    ``len(tm)`` or ``len(t)`` (the entry resolution clamps it to both), so
+    these are exactly the positions the equivalent
+    ``t[:vl] = [max(...) for _c, _t in zip(t, tm[:vl])]`` covers."""
+    d = 0
+    while d < vl:
+        x = tm[d] + k
+        if x > t[d]:
+            t[d] = x
+        d += 1
+
+
+def _fold_full(t, tm, k) -> None:
+    """In-place ``t[d] = max(t[d], tm[d] + k)`` over all of ``tm``.
+
+    Bound as ``_fall``: the fold of a full-depth vector (a materialized
+    event or a call's timestamps); ``tm`` and ``t`` are both tracked-depth
+    long."""
+    d = 0
+    for x in tm:
+        x += k
+        if x > t[d]:
+            t[d] = x
+        d += 1
+
+
+def _fold_const(t, c, dp) -> None:
+    """In-place ``t[d] = max(t[d], c)`` for ``d < dp``. Bound as
+    ``_fcon``: the constant floor of a region fold."""
+    for d in range(dp):
+        if t[d] < c:
+            t[d] = c
+
+
+def _seed_prefix(tm, vl, k, c, dp) -> list:
+    """A fresh ``dp``-long vector: ``tm[d] + k`` below ``vl``, ``c`` from
+    there on. Bound as ``_fseed``: the seed of a materialized timestamp
+    from one resolved entry (or, with ``vl == dp``, a full-depth one)."""
+    ts = [c] * dp
+    d = 0
+    while d < vl:
+        ts[d] = tm[d] + k
+        d += 1
+    return ts
+
+
+def _resolve_miss(rcache: dict, buckets: list, rmc: list):
     """Build ``_rmiss(tags, current)``: the common-prefix length of two
     region tag tuples, for the fused entry resolution's cache misses.
 
-    Stores the result in ``rcache`` (the engine's ``_rcache``) and raises
-    the high-water mark ``rmc[0]`` that the region-exit hook checks."""
+    Stores the result in ``rcache`` (the engine's ``_rcache``), files the
+    key under its prefix length in ``buckets`` and raises the high-water
+    mark ``rmc[0]`` that the region-exit hook checks."""
 
     def _rmiss(tags, current):
         limit = len(tags)
@@ -73,26 +125,42 @@ def _resolve_miss(rcache: dict, rmc: list):
         rcache[tags] = k
         if k > rmc[0]:
             rmc[0] = k
+            while len(buckets) <= k:
+                buckets.append([])
+        buckets[k].append(tags)
         return k
 
     return _rmiss
 
 
-def _region_hooks(prof, state: list, cps: list, rcache: dict, rmc: list):
+def _region_hooks(
+    prof,
+    state: list,
+    cps: list,
+    tag_stack: list,
+    rcache: dict,
+    buckets: list,
+    rmc: list,
+):
     """Build ``(_renter, _rexit)``: KremlinProfiler's region events over
     the fused engine's mirrors, called once per region marker.
 
     Both keep ``state`` (``[tags, tracked_depth]``) and the profiler's
     own fields in step; ``cps`` holds the critical-path maxima of the
-    open tracked regions.
+    open tracked regions. ``tag_stack`` holds the parent tag tuple of
+    every open region: an exit restores that very tuple, so values the
+    parent wrote before the child region ran still take the generated
+    code's ``_tg is _cu`` arm instead of the cache.
 
     Resolution-cache upkeep: a region ENTER preserves every cached
     common-prefix length exactly (the appended instance id is freshly
-    allocated, so no cached tag can match it), and an EXIT only
-    invalidates entries whose cached prefix overshoots the popped tag
-    path. ``rmc[0]`` tracks the cache's prefix high-water mark, so
+    allocated, so no cached tag can match it), and an EXIT to tag length
+    ``L`` keeps every entry whose cached prefix is at most ``L`` (the live
+    path's first ``L`` tags did not change). Only the entries filed in
+    ``buckets[L + 1:]`` could overshoot the popped path; those are
+    dropped. ``rmc[0]`` bounds the highest non-empty bucket, so
     loop-level exits (the hot case: every cached prefix stops at or above
-    the loop tag) skip the clear entirely."""
+    the loop tag) skip the drop loop entirely."""
     stack = prof.stack
     max_depth = prof.max_depth
     intern = prof.dictionary.intern
@@ -102,7 +170,9 @@ def _region_hooks(prof, state: list, cps: list, rcache: dict, rmc: list):
         region = _ActiveRegion(static_id, prof._next_instance, tracked)
         prof._next_instance += 1
         stack.append(region)
-        tags = state[0] + (region.instance,)
+        parent = state[0]
+        tag_stack.append(parent)
+        tags = parent + (region.instance,)
         state[0] = tags
         prof.tags = tags
         depth = len(stack)
@@ -124,7 +194,7 @@ def _region_hooks(prof, state: list, cps: list, rcache: dict, rmc: list):
                 f"unbalanced regions: exiting #{static_id} but "
                 f"#{region.static_id} is on top"
             )
-        tags = state[0][:-1]
+        tags = tag_stack.pop()
         state[0] = tags
         prof.tags = tags
         depth = len(stack)
@@ -149,11 +219,34 @@ def _region_hooks(prof, state: list, cps: list, rcache: dict, rmc: list):
             parent.children[char] = parent.children.get(char, 0) + 1
         else:
             prof.root_char = char
-        if rmc[0] > len(tags):
-            rcache.clear()
-            rmc[0] = 0
+        top = rmc[0]
+        keep = len(tags)
+        if top > keep:
+            for k in range(keep + 1, top + 1):
+                bucket = buckets[k]
+                for key in bucket:
+                    del rcache[key]
+                bucket.clear()
+            rmc[0] = keep
 
     return _renter, _rexit
+
+
+def _metered_hooks(rmiss, rexit, rcache: dict, misses: list, drops: list):
+    """Metrics-on wrappers of ``(_rmiss, _rexit)`` that count cache misses
+    (``shadow.rcache_misses``) and the keys each exit drops
+    (``shadow.rcache_drops``); the metrics-off closures stay unwrapped."""
+
+    def _rmiss(tags, current):
+        misses[0] += 1
+        return rmiss(tags, current)
+
+    def _rexit(static_id):
+        before = len(rcache)
+        rexit(static_id)
+        drops[0] += before - len(rcache)
+
+    return _rmiss, _rexit
 
 
 class CompiledEngine:
@@ -172,13 +265,17 @@ class CompiledEngine:
         self.codegen_seconds = 0.0
         # Fused-flavor profiler mirrors: ``state`` is [tags, tracked_depth],
         # ``cps`` the per-depth critical-path maxima of the open regions,
-        # ``_rcache`` the common-prefix resolution cache.
+        # ``_tags`` the parent tag tuple of each open region, ``_rcache``
+        # the common-prefix resolution cache with its keys filed by cached
+        # prefix length in ``_rbuckets``.
         self._state: list | None = None
         self._cps: list | None = None
+        self._tags: list = []
         self._rcache: dict | None = None
-        # High-water mark of cached resolution prefixes: region exits only
-        # clear _rcache when the popped tag is shorter than this (a cached
-        # prefix could otherwise overshoot the live region path).
+        self._rbuckets: list = [[]]
+        # High-water mark of cached resolution prefixes: a region exit
+        # only drops buckets when the popped tag is shorter than this (a
+        # cached prefix could otherwise overshoot the live region path).
         self._rmc: list = [0]
         self._frames_cell = None
 
@@ -209,7 +306,6 @@ class CompiledEngine:
             "abs": abs,
             "isinstance": isinstance,
             "max": max,
-            "zip": zip,
             "id": id,
             "tuple": tuple,
             "sorted": sorted,
@@ -231,8 +327,24 @@ class CompiledEngine:
             self._cps = []
             self._rcache = {}
             renter, rexit = _region_hooks(
-                observer, self._state, self._cps, self._rcache, self._rmc
+                observer,
+                self._state,
+                self._cps,
+                self._tags,
+                self._rcache,
+                self._rbuckets,
+                self._rmc,
             )
+            rmiss = _resolve_miss(self._rcache, self._rbuckets, self._rmc)
+            if metrics_on:
+                registry = get_metrics()
+                rmiss, rexit = _metered_hooks(
+                    rmiss,
+                    rexit,
+                    self._rcache,
+                    registry.counter("shadow.rcache_misses").cell,
+                    registry.counter("shadow.rcache_drops").cell,
+                )
             env.update(
                 {
                     "state": self._state,
@@ -243,14 +355,16 @@ class CompiledEngine:
                     "prof": observer,
                     "_renter": renter,
                     "_rexit": rexit,
-                    "_rmiss": _resolve_miss(self._rcache, self._rmc),
+                    "_rmiss": rmiss,
+                    "_fpre": _fold_prefix,
+                    "_fall": _fold_full,
+                    "_fcon": _fold_const,
+                    "_fseed": _seed_prefix,
                     "_resolve": resolve_entry,
                     "_cts": _compute_ts,
-                    "_vmax": fold_max_into,
                 }
             )
             if metrics_on:
-                registry = get_metrics()
                 self._frames_cell = registry.counter("shadow.frames").cell
                 env.update(
                     {
@@ -300,7 +414,10 @@ class CompiledEngine:
             state[0] = observer.tags
             state[1] = observer.tracked_depth
             del self._cps[:]
+            del self._tags[:]
             self._rcache.clear()
+            for bucket in self._rbuckets:
+                bucket.clear()
             self._rmc[0] = 0
             if self._frames_cell is not None:
                 self._frames_cell[0] += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -60,8 +61,6 @@ def test_bytecode_engine_is_gone():
 
 
 def _profile_json(program, engine: str, max_depth=None):
-    import json
-
     from repro.hcpa.serialize import profile_to_json
     from repro.kremlib.profiler import KremlinProfiler
 
@@ -193,3 +192,28 @@ def test_forced_dispatch_retries_are_metered(monkeypatch):
     assert sorted(unit.fallback_functions) == ["main", "scale"]
     assert counters["codegen.forced_dispatch_retries"] == 1
     assert counters["codegen.fallback_functions"] == 2
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_long_short_circuit_chain_structures(op):
+    """Each short-circuit diamond's join continues at the same indent; the
+    structurer loops over that continuation instead of recursing once per
+    term, so an 800-term chain stays native control flow."""
+    from repro import KremlinSession
+    from repro.hcpa.serialize import profile_to_json
+    from repro.interp.codegen import codegen_unit
+    from repro.kremlib.profiler import profile_program
+
+    chain = f" {op} ".join(["a"] * 800)
+    source = (
+        "int main() {\n  int a = 1;\n  int s = 0;\n"
+        f"  if ({chain}) {{\n    s = 2;\n  }}\n  return s;\n}}\n"
+    )
+    report = KremlinSession().analyze(source)
+    assert report.run.value == 2
+    unit = codegen_unit(report.program, "fused")
+    assert unit.fallback_functions == []
+    tree_profile, _ = profile_program(report.program, engine="tree")
+    assert json.dumps(profile_to_json(report.profile), sort_keys=True) == (
+        json.dumps(profile_to_json(tree_profile), sort_keys=True)
+    )
