@@ -50,10 +50,6 @@ class LoopForest:
     #: innermost loop containing each block (absent = not in any loop)
     block_loop: dict[BasicBlock, Loop] = field(default_factory=dict)
 
-    @property
-    def top_level(self) -> list[Loop]:
-        return [loop for loop in self.loops if loop.parent is None]
-
     def loop_of(self, block: BasicBlock) -> Loop | None:
         return self.block_loop.get(block)
 

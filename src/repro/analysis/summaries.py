@@ -112,9 +112,6 @@ class ParamAffine:
             hi=max(ends),
         )
 
-    def widened(self, lo: int, hi: int) -> "ParamAffine":
-        return replace(self, lo=self.lo + lo, hi=self.hi + hi)
-
     def render(self, param_names: tuple[str, ...] = ()) -> str:
         parts: list[str] = []
         for k, c in self.terms:

@@ -51,10 +51,6 @@ class SyntheticProgram:
     phases: list[Phase] = field(default_factory=list)
     seed: int = 0
 
-    @property
-    def parallel_phases(self) -> list[Phase]:
-        return [p for p in self.phases if p.kind != "serial"]
-
 
 def _phase_code(kind: str, index: int, n: int, columns: int) -> str:
     array = f"data{index}"

@@ -46,13 +46,6 @@ class SpeedupComparison:
     #: True when the parallel run completed and verified against serial
     executed: bool
 
-    @property
-    def prediction_error(self) -> float:
-        """measured / predicted (1.0 = the model was exact)."""
-        if self.predicted_speedup <= 0:
-            return 0.0
-        return self.measured_speedup / self.predicted_speedup
-
     def within_tolerance(self, tolerance: float = DEFAULT_TOLERANCE) -> bool:
         """Measured does not beat the ideal bound by more than ``tolerance``."""
         return self.measured_speedup <= self.predicted_speedup * (

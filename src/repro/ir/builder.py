@@ -21,7 +21,7 @@ from repro.ir.instructions import (
     UnOp,
     result_type_of_binop,
 )
-from repro.ir.types import FLOAT, INT, ArrayType, ScalarType, Type
+from repro.ir.types import INT, ArrayType, ScalarType, Type
 from repro.ir.values import Constant, Register, Value
 
 
@@ -49,18 +49,6 @@ class IRBuilder:
     def is_terminated(self) -> bool:
         """True if there is no live insertion point (block done or unset)."""
         return self.block is None or self.block.is_terminated
-
-    # ------------------------------------------------------------------
-    # Constants
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def const_int(value: int) -> Constant:
-        return Constant(int(value), INT)
-
-    @staticmethod
-    def const_float(value: float) -> Constant:
-        return Constant(float(value), FLOAT)
 
     # ------------------------------------------------------------------
     # Instruction emitters
