@@ -35,7 +35,6 @@ from repro.analysis.dependence import (
     DepClass,
     LoopDependenceInfo,
     analyze_function_dependences,
-    function_purity,
     may_alias,
 )
 from repro.analysis.dominators import (
@@ -122,7 +121,6 @@ __all__ = [
     "detect_ir_dep_breaks",
     "dominator_tree",
     "find_natural_loops",
-    "function_purity",
     "may_alias",
     "postdominator_tree",
     "postorder",

@@ -78,12 +78,15 @@ class ReachingDefinitions:
             self.defs_of.setdefault(definition.register, []).append(definition)
 
         block_defs: dict[BasicBlock, list[Definition]] = {}
+        #: id(instruction) -> the definition it makes
+        def_at: dict[int, Definition] = {}
         for block in function.blocks:
             defs: list[Definition] = []
             for instr in block.instructions:
                 if instr.result is not None:
                     definition = Definition(instr.result, block, instr)
                     defs.append(definition)
+                    def_at[id(instr)] = definition
                     self.defs_of.setdefault(instr.result, []).append(
                         definition
                     )
@@ -151,11 +154,7 @@ class ReachingDefinitions:
                             )
                 result = getattr(owner, "result", None)
                 if result is not None:
-                    live[result] = {
-                        d
-                        for d in self.defs_of[result]
-                        if d.instr is owner
-                    }
+                    live[result] = {def_at[id(owner)]}
 
     # ------------------------------------------------------------------
     # Queries

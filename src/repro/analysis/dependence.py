@@ -294,7 +294,7 @@ class _LoopContext:
         rd: ReachingDefinitions,
         forest: LoopForest,
         induction_of: dict[Loop, dict[Register, InductionVar]],
-        summaries: dict | None = None,
+        summaries: dict,
     ):
         self.function = function
         self.loop = loop
@@ -641,11 +641,7 @@ def _collect_accesses(ctx: _LoopContext, info: LoopDependenceInfo) -> None:
                 else:
                     affine = ctx.affine_of(instr.index, instr)
                 info.accesses.append(MemAccess(instr, block, obj, affine))
-            elif (
-                isinstance(instr, Call)
-                and not instr.is_builtin
-                and ctx.summaries is not None
-            ):
+            elif isinstance(instr, Call) and not instr.is_builtin:
                 _inline_summary_accesses(ctx, info, block, instr)
 
 
@@ -979,59 +975,6 @@ def _only_reduction_accesses(
 # ----------------------------------------------------------------------
 
 
-def function_purity(module: Module) -> dict[str, bool]:
-    """Which user functions are pure enough to call from a DOALL loop.
-
-    Pure means: no global loads/stores, no array parameters (which could
-    alias the loop's arrays), no impure builtins, and only pure callees.
-    Writes to a function's own allocas are fine — they are private.
-
-    One pass over the call graph's SCC condensation (callee-first):
-    a component is pure iff every member meets the direct conditions
-    and every out-of-component callee is pure — mutual recursion among
-    effect-free functions stays pure, exactly as the old fixpoint had it.
-    """
-    from repro.analysis.callgraph import build_call_graph
-
-    graph = build_call_graph(module)
-    direct: dict[str, bool] = {}
-    for name, function in module.functions.items():
-        pure = not any(
-            isinstance(param.type, ArrayType) for param in function.params
-        )
-        if pure:
-            for block in function.blocks:
-                for instr in block.instructions:
-                    if isinstance(instr, (Load, Store)) and isinstance(
-                        instr.mem, GlobalRef
-                    ):
-                        pure = False
-                    elif isinstance(instr, Call) and instr.is_builtin:
-                        if instr.callee not in PURE_BUILTINS:
-                            pure = False
-                if not pure:
-                    break
-        direct[name] = pure
-
-    purity: dict[str, bool] = {}
-    for component in graph.sccs():
-        members = [n for n in component if n in module.functions]
-        pure = all(direct.get(n, False) for n in members)
-        if pure:
-            for name in members:
-                for callee in graph.callees.get(name, set()):
-                    if callee in component:
-                        continue
-                    if not purity.get(callee, False):
-                        pure = False
-                        break
-                if not pure:
-                    break
-        for name in members:
-            purity[name] = pure
-    return purity
-
-
 def _impure_call_witness(instr: Call, description: str) -> DependenceWitness:
     return DependenceWitness(
         kind="impure-call",
@@ -1040,11 +983,7 @@ def _impure_call_witness(instr: Call, description: str) -> DependenceWitness:
     )
 
 
-def _analyze_calls(
-    ctx: _LoopContext,
-    info: LoopDependenceInfo,
-    purity: dict[str, bool],
-) -> None:
+def _analyze_calls(ctx: _LoopContext, info: LoopDependenceInfo) -> None:
     for block in ctx.blocks:
         for instr in block.instructions:
             if not isinstance(instr, Call):
@@ -1061,32 +1000,23 @@ def _analyze_calls(
                         "through it",
                     )
                 )
-            elif ctx.summaries is not None:
-                summary = ctx.summaries.get(instr.callee)
-                if summary is not None and summary.transparent:
-                    continue  # effects already inlined as accesses
-                reasons = (
-                    "; ".join(summary.reasons)
-                    if summary is not None and summary.reasons
-                    else "no summary"
+                continue
+            summary = ctx.summaries.get(instr.callee)
+            if summary is not None and summary.transparent:
+                continue  # effects already inlined as accesses
+            reasons = (
+                "; ".join(summary.reasons)
+                if summary is not None and summary.reasons
+                else "no summary"
+            )
+            info.impure_calls.append(instr)
+            info.witnesses.append(
+                _impure_call_witness(
+                    instr,
+                    f"call to '{instr.callee}' cannot be "
+                    f"summarized ({reasons})",
                 )
-                info.impure_calls.append(instr)
-                info.witnesses.append(
-                    _impure_call_witness(
-                        instr,
-                        f"call to '{instr.callee}' cannot be "
-                        f"summarized ({reasons})",
-                    )
-                )
-            elif not purity.get(instr.callee, False):
-                info.impure_calls.append(instr)
-                info.witnesses.append(
-                    _impure_call_witness(
-                        instr,
-                        f"call to '{instr.callee}' may read or write "
-                        "shared state (globals or array arguments)",
-                    )
-                )
+            )
 
 
 def _count_exits(loop: Loop) -> int:
@@ -1205,24 +1135,23 @@ def analyze_function_dependences(
     function: Function,
     module: Module | None = None,
     rd: ReachingDefinitions | None = None,
-    purity: dict[str, bool] | None = None,
     summaries: dict | None = None,
 ) -> list[LoopDependenceInfo]:
     """Classify every natural loop of ``function``; innermost first.
 
-    When ``summaries`` (or a ``module`` to compute them from) is
-    available, calls to summarizable functions contribute synthetic
-    accesses instead of impure-call witnesses; an explicit ``purity``
-    map restores the old binary treatment (legacy callers/tests).
+    Calls to user functions are resolved through ``summaries`` (computed
+    from ``module`` when not given): a summarizable callee contributes
+    synthetic accesses, and a callee with no summary or an
+    unsummarizable one is an impure-call witness.
     """
     rd = rd or ReachingDefinitions(function)
     forest = find_natural_loops(function)
-    if summaries is None and purity is None and module is not None:
+    if summaries is None:
         from repro.analysis.summaries import compute_module_summaries
 
-        summaries = compute_module_summaries(module)
-    if purity is None:
-        purity = {}
+        summaries = (
+            compute_module_summaries(module) if module is not None else {}
+        )
 
     induction_of = {
         loop: _detect_inductions(loop, rd) for loop in forest.loops
@@ -1243,7 +1172,7 @@ def analyze_function_dependences(
         _classify_scalars(ctx, info)
         _collect_accesses(ctx, info)
         _analyze_memory(ctx, info)
-        _analyze_calls(ctx, info, purity)
+        _analyze_calls(ctx, info)
         info.verdict = _assemble_verdict(info)
         out.append(info)
     return out

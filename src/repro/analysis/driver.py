@@ -1,12 +1,13 @@
 """The static-analysis driver: one call analyzes a whole module.
 
-:func:`analyze_module` runs reaching definitions, the loop dependence
-classifier, and (optionally) lint over every function, then maps each
-natural loop's verdict onto the static region tree: the loop header's
-``region_id`` names the innermost region containing the header — the LOOP
-region itself for ``while``/``for`` loops, or the BODY region for
-``do``-style rotated loops, in which case the driver walks ``parent_id``
-up to the enclosing LOOP. The resulting verdict *tags* are stamped onto
+:func:`analyze_module` builds reaching definitions once per function and
+shares them with the mod/ref summaries, the loop dependence classifier,
+and (optionally) lint, then maps each natural loop's verdict onto the
+static region tree: the loop header's ``region_id`` names the innermost
+region containing the header — the LOOP region itself for
+``while``/``for`` loops, or the BODY region for ``do``-style rotated
+loops, in which case the driver walks ``parent_id`` up to the enclosing
+LOOP. The resulting verdict *tags* are stamped onto
 :class:`~repro.instrument.regions.StaticRegion.verdict` so they travel
 with the profile (serialization, merging, planning, reports).
 
@@ -107,7 +108,9 @@ def analyze_module(module: Module, lint: bool = True) -> ModuleAnalysis:
             }
         with tracer.span("summaries") as span:
             graph = build_call_graph(module)
-            analysis.summaries = compute_module_summaries(module, graph)
+            analysis.summaries = compute_module_summaries(
+                module, graph, reaching
+            )
             span.args["functions"] = len(analysis.summaries)
         with tracer.span("dependence") as span:
             loop_count = 0

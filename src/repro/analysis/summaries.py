@@ -209,7 +209,7 @@ class FunctionSummary:
     top: bool = False
     #: observable ordering effects (RNG / I/O), directly or via callees
     impure: bool = False
-    #: old-style call purity: no memory effects and no array params
+    #: call purity: no memory effects and no array params
     pure: bool = False
     reasons: tuple[str, ...] = ()
 
@@ -372,23 +372,23 @@ def _roles(is_store: bool) -> str:
     return "writes" if is_store else "reads"
 
 
-def _direct_effect_free(function: Function) -> tuple[bool, str]:
-    """Old-style direct purity: the conditions a function must meet on
-    its own (callees are checked by the SCC pass)."""
+def _direct_effect_free(function: Function) -> bool:
+    """Direct purity: the conditions a function must meet on its own
+    (callees are checked by the SCC pass)."""
     if any(isinstance(p.type, ArrayType) for p in function.params):
-        return False, "takes an array parameter"
+        return False
     for block in function.blocks:
         for instr in block.instructions:
             if isinstance(instr, (Load, Store)) and isinstance(
                 instr.mem, GlobalRef
             ):
-                return False, "touches global state"
+                return False
             if isinstance(instr, Call) and instr.is_builtin:
                 from repro.analysis.dependence import PURE_BUILTINS
 
                 if instr.callee not in PURE_BUILTINS:
-                    return False, f"calls impure builtin '{instr.callee}'"
-    return True, ""
+                    return False
+    return True
 
 
 def _global_reductions(
@@ -451,9 +451,9 @@ def _compress(records: list[AccessRecord]) -> list[AccessRecord]:
 
 def _summarize_function(
     function: Function,
+    rd: ReachingDefinitions,
     summaries: dict[str, FunctionSummary],
 ) -> FunctionSummary:
-    rd = ReachingDefinitions(function)
     resolver = _IndexResolver(function, rd)
     reductions = _global_reductions(function, rd)
     summary = FunctionSummary(
@@ -612,10 +612,17 @@ def _summarize_function(
 
 
 def compute_module_summaries(
-    module: Module, graph: CallGraph | None = None
+    module: Module,
+    graph: CallGraph | None = None,
+    reaching: dict[str, ReachingDefinitions] | None = None,
 ) -> dict[str, FunctionSummary]:
-    """Bottom-up mod/ref summaries for every function in ``module``."""
+    """Bottom-up mod/ref summaries for every function in ``module``.
+
+    ``reaching`` maps function names to reaching definitions already
+    built for them (the driver's); any function it lacks gets its own.
+    """
     graph = graph or build_call_graph(module)
+    reaching = reaching or {}
     summaries: dict[str, FunctionSummary] = {}
     for component in graph.sccs():
         members = [
@@ -628,7 +635,7 @@ def compute_module_summaries(
         )
         if recursive:
             effect_free = all(
-                _direct_effect_free(module.functions[name])[0]
+                _direct_effect_free(module.functions[name])
                 and all(
                     callee in component
                     or summaries.get(
@@ -660,15 +667,14 @@ def compute_module_summaries(
                     )
             continue
         name = members[0]
-        summary = _summarize_function(module.functions[name], summaries)
+        function = module.functions[name]
+        rd = reaching.get(name) or ReachingDefinitions(function)
+        summary = _summarize_function(function, rd, summaries)
         summary.pure = (
             not summary.top
             and not summary.impure
             and not summary.records
-            and not any(
-                isinstance(p.type, ArrayType)
-                for p in module.functions[name].params
-            )
+            and not any(isinstance(p.type, ArrayType) for p in function.params)
         )
         summaries[name] = summary
     return summaries

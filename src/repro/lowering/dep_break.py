@@ -312,7 +312,7 @@ def analyze_loop_dependences(loop: Stmt) -> LoopDepInfo:
     return info
 
 
-def analyze_function_dependences(body: Stmt) -> dict[int, tuple[str, int]]:
+def dep_break_marks(body: Stmt) -> dict[int, tuple[str, int]]:
     """Run :func:`analyze_loop_dependences` on every loop in a function body
     and merge the per-statement markings (innermost loop wins)."""
     marked: dict[int, tuple[str, int]] = {}

@@ -57,7 +57,7 @@ from repro.ir.instructions import BinOp
 from repro.ir.module import GlobalVar, Module
 from repro.ir.types import FLOAT, INT, VOID, ArrayType, ScalarType, Type, common_type, scalar
 from repro.ir.values import Constant, GlobalRef, Register, StringConst, Value
-from repro.lowering.dep_break import analyze_function_dependences
+from repro.lowering.dep_break import dep_break_marks
 
 
 def _ast_type_to_ir(type_name: TypeName) -> Type:
@@ -171,7 +171,7 @@ class Lowerer:
         self.scopes = [{}]
         self.loop_stack = []
         self.region_stack = [region.id]
-        self.dep_marks = analyze_function_dependences(decl.body)
+        self.dep_marks = dep_break_marks(decl.body)
         self._loop_counter = 0
 
         entry = self._new_block("entry")

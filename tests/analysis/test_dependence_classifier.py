@@ -11,7 +11,6 @@ import pytest
 from repro.analysis.dependence import (
     DepClass,
     analyze_function_dependences,
-    function_purity,
     iterations_structurally_identical,
     may_alias,
 )
@@ -262,23 +261,21 @@ class TestWitnessShapes:
 
 
 class TestHelpers:
-    def test_function_purity(self):
-        program = compile_source(CORPUS)
-        purity = function_purity(program.module)
+    def test_summary_purity(self):
+        summaries = compile_source(CORPUS).analysis.summaries
         # Every corpus function touches global arrays -> impure; purity is
         # about memory effects, not determinism.
-        assert purity["sum_reduction"] is False
+        assert summaries["sum_reduction"].pure is False
         source = """
         float square(float x) { return x * x; }
         float chain(float x) { return square(x) + 1.0; }
         int noisy() { return rand(); }
         int main() { return 0; }
         """
-        program = compile_source(source)
-        purity = function_purity(program.module)
-        assert purity["square"] is True
-        assert purity["chain"] is True  # purity propagates through calls
-        assert purity["noisy"] is False
+        summaries = compile_source(source).analysis.summaries
+        assert summaries["square"].pure is True
+        assert summaries["chain"].pure is True  # propagates through calls
+        assert summaries["noisy"].pure is False
 
     def test_may_alias_rules(self):
         from repro.analysis.dependence import MemObject

@@ -1,5 +1,6 @@
 """Module-analysis driver tests: verdict stamping onto the region tree."""
 
+from repro.analysis.dataflow import ReachingDefinitions
 from repro.analysis.driver import (
     analyze_module,
     analyze_program,
@@ -124,3 +125,32 @@ class TestCompileIntegration:
             "int main() { return 0; }", "skip.c", analyze=False
         )
         assert program.analysis is None
+
+
+class TestSharedDataflow:
+    def test_one_reaching_definitions_per_function(self, monkeypatch):
+        program = kremlin_cc(
+            """
+            int dst[64];
+            float acc;
+            void put(int i) { dst[i] = i; }
+            void bump(float v) { acc = acc + v; }
+            int main() {
+              for (int i = 0; i < 64; i++) { put(i); bump(1.0); }
+              return 0;
+            }
+            """,
+            "shared.c",
+            analyze=False,
+        )
+        module = program.module
+        built = []
+        original = ReachingDefinitions.__init__
+
+        def counting(self, function):
+            built.append(function.name)
+            original(self, function)
+
+        monkeypatch.setattr(ReachingDefinitions, "__init__", counting)
+        analyze_module(module)
+        assert sorted(built) == sorted(module.functions)

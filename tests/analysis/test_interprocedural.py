@@ -6,10 +6,7 @@ brittle: a summary-computation change that moves any verdict must update
 the expectation here and explain why.
 """
 
-from repro.analysis.dependence import (
-    analyze_function_dependences,
-    function_purity,
-)
+from repro.analysis.dependence import analyze_function_dependences
 from repro.analysis.verdict import Verdict
 from tests.conftest import compile_source
 
@@ -126,6 +123,17 @@ class TestInterproceduralVerdicts:
         info = single_loop(DISJOINT_WRITES)
         assert info.verdict.verdict is Verdict.SAFE_DOALL
 
+    def test_call_without_summary_is_impure_call(self):
+        program = compile_source(DISJOINT_WRITES)
+        function = program.module.function("main")
+        [info] = analyze_function_dependences(function)
+        assert info.verdict.verdict is Verdict.UNSAFE
+        [witness] = info.verdict.witnesses
+        assert witness.kind == "impure-call"
+        assert witness.description == (
+            "call to 'blur' cannot be summarized (no summary)"
+        )
+
     def test_reduction_through_call(self):
         info = single_loop(REDUCTION_THROUGH_CALL)
         assert info.verdict.verdict is Verdict.SAFE_WITH_REDUCTION
@@ -156,16 +164,13 @@ class TestInterproceduralVerdicts:
 
 class TestUpgradeOverPurity:
     def test_purity_only_analysis_was_unsafe(self):
-        """The before/after pair the whole feature exists for."""
-        program = compile_source(DISJOINT_WRITES)
-        function = program.module.function("main")
-        purity = function_purity(program.module)
-        before = analyze_function_dependences(
-            function, program.module, purity=purity
+        """The loop a call-is-impure model rejects is SAFE_DOALL with
+        summaries, and no witness blames the call."""
+        info = single_loop(DISJOINT_WRITES)
+        assert info.verdict.verdict is Verdict.SAFE_DOALL
+        assert not any(
+            w.kind == "impure-call" for w in info.verdict.witnesses
         )
-        assert before[0].verdict.verdict is Verdict.UNSAFE
-        after = analyze_function_dependences(function, program.module)
-        assert after[0].verdict.verdict is Verdict.SAFE_DOALL
 
 
 class TestWitnessChainsThroughCalls:

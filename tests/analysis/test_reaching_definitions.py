@@ -104,6 +104,27 @@ class TestReachingDefinitions:
         [init] = external
         assert init.block not in loop.blocks
 
+    def test_long_straight_line_use_sees_previous_def(self):
+        body = " ".join("x = x + 1;" for _ in range(2000))
+        function, rd = reaching_for(
+            f"int main() {{ int x = 0; {body} return x; }}"
+        )
+        x = find_register(function, "x")
+        defs = rd.defs_of[x]  # layout order
+        assert len(defs) == 2001
+        seen = uses = 0
+        for block in function.blocks:
+            for owner in [*block.instructions, block.terminator]:
+                if owner is None:
+                    continue
+                if x in owner.operands:
+                    assert rd.reaching(owner, x) == {defs[seen - 1]}
+                    uses += 1
+                if getattr(owner, "result", None) is x:
+                    assert defs[seen].instr is owner
+                    seen += 1
+        assert uses == 2000 + 1  # every `x + 1` and the return
+
 
 class TestLoopHelpers:
     SOURCE = """

@@ -3,6 +3,7 @@
 import json
 
 from repro.analysis.callgraph import build_call_graph
+from repro.analysis.dataflow import ReachingDefinitions
 from repro.analysis.summaries import (
     ParamAffine,
     compute_module_summaries,
@@ -155,3 +156,27 @@ class TestSerialization:
         blur_accesses = by_name["blur"]["accesses"]
         assert {"object": "@dst", "mode": "write", "index": "i", "array": True} in blur_accesses
         assert any(a["mode"] == "reduce(+)" for a in by_name["bump"]["accesses"])
+
+    def test_shared_reaching_definitions_change_nothing(self):
+        module = compile_source(
+            """
+            int dst[64];
+            float acc;
+            void blur(int i) { dst[i] = i; }
+            void bump(float v) { acc = acc + v; }
+            int fact(int n) {
+              if (n < 2) { return 1; }
+              return n * fact(n - 1);
+            }
+            int main() { blur(0); bump(1.0); return fact(3); }
+            """
+        ).module
+        graph = build_call_graph(module)
+        reaching = {
+            name: ReachingDefinitions(function)
+            for name, function in module.functions.items()
+        }
+        alone = compute_module_summaries(module, graph)
+        shared = compute_module_summaries(module, graph, reaching)
+        assert summaries_to_json(shared) == summaries_to_json(alone)
+        assert alone["blur"].records and alone["fact"].pure
